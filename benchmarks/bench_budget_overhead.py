@@ -1,6 +1,6 @@
 """Extra study — overhead of the resilience layer (``repro.resilience``).
 
-The ``budget=`` keyword threading through the pipeline makes the same
+The run budget threading through the pipeline makes the same
 promise the observability layer does: free when unused.  Every hot loop
 guards its poll behind ``budget.active``, so with the default
 :data:`~repro.resilience.NULL_BUDGET` the instrumented code runs one
@@ -19,6 +19,7 @@ import statistics
 import time
 
 from common import index
+from repro import RunOptions
 from repro.bench import format_table
 from repro.core import sctl_star
 from repro.resilience import RunBudget
@@ -35,7 +36,9 @@ def _run_once(budget=None) -> float:
     if budget is None:
         sctl_star(idx, K, iterations=ITERATIONS)
     else:
-        sctl_star(idx, K, iterations=ITERATIONS, budget=budget)
+        sctl_star(
+            idx, K, iterations=ITERATIONS, options=RunOptions(budget=budget)
+        )
     return time.perf_counter() - start
 
 
@@ -100,7 +103,8 @@ class TestBudgetOverhead:
         idx = index(DATASET)
         plain = sctl_star(idx, K, iterations=ITERATIONS)
         budgeted = sctl_star(
-            idx, K, iterations=ITERATIONS, budget=_generous_budget()
+            idx, K, iterations=ITERATIONS,
+            options=RunOptions(budget=_generous_budget()),
         )
         assert not budgeted.is_partial
         assert plain.density_fraction == budgeted.density_fraction

@@ -18,6 +18,7 @@ import statistics
 import time
 
 from common import index
+from repro import RunOptions
 from repro.bench import format_table, timed_with_metrics
 from repro.core import sctl_star
 from repro.obs import MetricsRecorder
@@ -34,7 +35,10 @@ def _run_once(recorder=None) -> float:
     if recorder is None:
         sctl_star(idx, K, iterations=ITERATIONS)
     else:
-        sctl_star(idx, K, iterations=ITERATIONS, recorder=recorder)
+        sctl_star(
+            idx, K, iterations=ITERATIONS,
+            options=RunOptions(recorder=recorder),
+        )
     return time.perf_counter() - start
 
 
@@ -70,7 +74,10 @@ def render() -> str:
         f"{REPEATS} repeats)",
     )
     breakdown = timed_with_metrics(
-        lambda rec: sctl_star(index(DATASET), K, iterations=ITERATIONS, recorder=rec)
+        lambda rec: sctl_star(
+            index(DATASET), K, iterations=ITERATIONS,
+            options=RunOptions(recorder=rec),
+        )
     )
     stage_rows = [
         [f"refine/iteration/{t}", breakdown.stage_cell(f"refine/iteration/{t}")]
@@ -104,7 +111,10 @@ class TestObsOverhead:
         idx = index(DATASET)
         recorder = MetricsRecorder()
         plain = sctl_star(idx, K, iterations=ITERATIONS)
-        recorded = sctl_star(idx, K, iterations=ITERATIONS, recorder=recorder)
+        recorded = sctl_star(
+            idx, K, iterations=ITERATIONS,
+            options=RunOptions(recorder=recorder),
+        )
         assert plain.density_fraction == recorded.density_fraction
         assert plain.vertices == recorded.vertices
         assert recorder.counters["refine/iterations"] == ITERATIONS

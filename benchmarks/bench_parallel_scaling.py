@@ -2,8 +2,8 @@
 
 Three questions, all on the largest bundled dataset (``friendster``):
 
-1. **Build scaling** — wall-clock of ``SCTIndex.build(parallel=N)`` for
-   N in {1, 2, 4} against the serial build.  The sharded build expands
+1. **Build scaling** — wall-clock of ``SCTIndex.build`` with N workers
+   for N in {1, 2, 4} against the serial build.  The sharded build expands
    disjoint seed ranges in worker processes and splices them in seed
    order, so the useful work parallelises fully and only the splice is
    sequential.
@@ -26,6 +26,7 @@ import sys
 import time
 
 from common import dataset
+from repro import RunOptions
 from repro.bench import format_table
 from repro.core import SCTIndex, sctl_star
 
@@ -52,7 +53,7 @@ def _time_build(graph, workers=None, repeats=REPEATS):
         start = time.perf_counter()
         index = (
             SCTIndex.build(graph) if workers is None
-            else SCTIndex.build(graph, parallel=workers)
+            else SCTIndex.build(graph, options=RunOptions(parallel=workers))
         )
         times.append(time.perf_counter() - start)
     return statistics.median(times), index
@@ -65,7 +66,9 @@ def _time_sweep(index, workers=None, repeats=REPEATS):
         if workers is None:
             sctl_star(index, K, iterations=2)
         else:
-            sctl_star(index, K, iterations=2, parallel=workers)
+            sctl_star(
+                index, K, iterations=2, options=RunOptions(parallel=workers)
+            )
         times.append(time.perf_counter() - start)
     return statistics.median(times)
 

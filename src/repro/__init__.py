@@ -37,7 +37,6 @@ from .baselines import (
     kcl_sample,
 )
 from .core import (
-    DensestSubgraphResult,
     DensityProfile,
     DirtyRegion,
     SCTIndex,
@@ -51,8 +50,7 @@ from .core import (
     sctl_star_sample,
     top_dense_subgraphs,
 )
-from .core.density import PartialResult
-from .results import RESULT_SCHEMA, DenseSubgraphResult
+from .results import RESULT_SCHEMA, DenseSubgraphResult, PartialResult
 from .errors import (
     BudgetExhausted,
     CheckpointError,
@@ -87,7 +85,7 @@ from .resilience import (
     RunBudget,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Graph",
@@ -97,7 +95,6 @@ __all__ = [
     "SCTPathView",
     "DirtyRegion",
     "DenseSubgraphResult",
-    "DensestSubgraphResult",
     "RESULT_SCHEMA",
     "densest_subgraph",
     "sctl",
@@ -154,13 +151,8 @@ def densest_subgraph(
     index: Optional[SCTIndex] = None,
     sample_size: Optional[int] = None,
     seed: int = 0,
-    recorder: Recorder = NULL_RECORDER,
-    budget: Budget = NULL_BUDGET,
-    checkpoint=None,
-    resume: bool = False,
-    parallel=None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     """One-call facade over every algorithm in the registry.
 
     Parameters
@@ -186,40 +178,31 @@ def densest_subgraph(
         Sample size for the ``*-sample`` methods (default ``10_000``).
     seed:
         RNG seed for sampling methods.
-    recorder:
-        Observability hook (``repro.obs``): forwarded to the index build
-        and to every SCT-based method.  The baselines (KCL, CoreApp, ...)
-        predate the SCT pipeline and warn once that they ignore it.
-    budget:
-        Optional :class:`~repro.resilience.RunBudget`, forwarded to the
-        index build and every SCT-based method.  On exhaustion the call
-        returns a :class:`PartialResult` instead of raising — invalid
-        (empty) when the budget ran out before anything was achieved,
-        best-so-far otherwise.
-    checkpoint / resume:
-        A checkpoint directory (or :class:`~repro.resilience.Checkpointer`)
-        and the restart switch, forwarded to the index build and the
-        SCTL-family refinements.
-    parallel:
-        ``None`` (serial), an int worker count, or a
-        :class:`ParallelConfig` — shards the index build and the path
-        sweeps over a process pool while keeping every result
-        byte-identical to serial.
     options:
-        A :class:`RunOptions` bundling the five knobs above; the
-        individual keywords remain as aliases (conflicting assignments
-        raise :class:`InvalidParameterError`).
+        A :class:`RunOptions` with the cross-cutting knobs, forwarded to
+        the index build and to every SCT-based method.
+
+        * ``recorder`` — the observability hook (``repro.obs``).  The
+          baselines (KCL, CoreApp, ...) predate the SCT pipeline and
+          warn once that they ignore it.
+        * ``budget`` — a :class:`~repro.resilience.RunBudget`.  On
+          exhaustion the call returns a :class:`PartialResult` instead
+          of raising — invalid (empty) when the budget ran out before
+          anything was achieved, best-so-far otherwise.  A method that
+          does not honour a budget is rejected with
+          :class:`InvalidParameterError`.
+        * ``checkpoint`` / ``resume`` — a checkpoint directory (or
+          :class:`~repro.resilience.Checkpointer`) and the restart
+          switch, covering the index build and the SCTL-family
+          refinements.
+        * ``parallel`` — shards the index build and the path sweeps over
+          a process pool while keeping every result byte-identical to
+          serial.  A method without parallel support is rejected with
+          :class:`InvalidParameterError`.
     """
     t0 = time.perf_counter()
     spec = get_method(method)
-    opts = RunOptions.resolve(
-        options,
-        recorder=recorder,
-        budget=budget,
-        checkpoint=checkpoint,
-        resume=resume,
-        parallel=parallel,
-    )
+    opts = RunOptions.resolve(options)
     # capability gating: reject an unsupported knob up front with the
     # lists-valid-names error instead of silently ignoring it mid-run
     if (

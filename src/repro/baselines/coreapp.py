@@ -28,7 +28,7 @@ from ..flow.densest import count_cliques_inside, exact_densest_from_cliques
 from ..graph.components import connected_components
 from ..graph.graph import Graph
 from ..options import RunOptions, warn_unsupported
-from ..core.density import DensestSubgraphResult
+from ..results import DenseSubgraphResult
 from ..core.reductions import engagement_threshold
 from ..core.sctl import empty_result
 
@@ -95,7 +95,7 @@ def core_app(
     k: int,
     view: Optional[OrderedGraphView] = None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     """CoreApp: return the (k'_max, Psi)-core as the approximate answer.
 
     ``options`` is accepted for facade uniformity and ignored (one
@@ -111,7 +111,7 @@ def core_app(
     chosen = sorted(v for v in graph.vertices() if core[v] >= k_prime_max)
     subgraph, _ = graph.induced_subgraph(chosen)
     clique_count = count_k_cliques(subgraph, k)
-    return DensestSubgraphResult(
+    return DenseSubgraphResult(
         vertices=chosen,
         clique_count=clique_count,
         k=k,
@@ -125,7 +125,7 @@ def core_exact(
     k: int,
     view: Optional[OrderedGraphView] = None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     """CoreExact: core-reduced, per-component exact search.
 
     Lemma 1 places the optimum inside the (ceil(rho_opt), Psi)-core, which
@@ -170,7 +170,7 @@ def core_exact(
             best_vertices = solution
             best_count = count_cliques_inside(cliques, solution)
             best_density = density
-    return DensestSubgraphResult(
+    return DenseSubgraphResult(
         vertices=sorted(best_vertices),
         clique_count=best_count,
         k=k,

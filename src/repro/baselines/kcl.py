@@ -23,7 +23,7 @@ from ..cliques.ordered_view import OrderedGraphView, build_ordered_view
 from ..errors import InvalidParameterError
 from ..graph.graph import Graph
 from ..options import RunOptions, warn_unsupported
-from ..core.density import DensestSubgraphResult
+from ..results import DenseSubgraphResult
 from ..core.extraction import best_prefix_from_cliques
 from ..core.sctl import empty_result
 
@@ -36,7 +36,7 @@ def kcl(
     iterations: int = 10,
     view: Optional[OrderedGraphView] = None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     """Run KCL (Algorithm 1): ``T`` enumeration rounds plus extraction.
 
     Parameters
@@ -73,7 +73,7 @@ def kcl(
     # final extraction pass: one more enumeration (Lines 6-10)
     prefix = best_prefix_from_cliques(iter_k_cliques(graph, k, view=view), weights)
     upper = max(max(weights) / iterations, prefix.density)
-    return DensestSubgraphResult(
+    return DenseSubgraphResult(
         vertices=sorted(prefix.vertices),
         clique_count=prefix.clique_count,
         k=k,
@@ -92,7 +92,7 @@ def kcl_sample(
     seed: int = 0,
     view: Optional[OrderedGraphView] = None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     """KCL on a uniform reservoir sample of ``sample_size`` k-cliques.
 
     One full enumeration pass fills the reservoir; refinement then touches
@@ -136,7 +136,7 @@ def kcl_sample(
     # recovery by enumeration on the induced subgraph
     subgraph, _ = graph.induced_subgraph(chosen)
     true_count = count_k_cliques(subgraph, k)
-    return DensestSubgraphResult(
+    return DenseSubgraphResult(
         vertices=chosen,
         clique_count=true_count,
         k=k,

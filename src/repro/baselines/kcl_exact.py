@@ -32,7 +32,7 @@ from ..flow.densest import (
 )
 from ..graph.graph import Graph
 from ..options import RunOptions, warn_unsupported
-from ..core.density import DensestSubgraphResult
+from ..results import DenseSubgraphResult
 from ..core.extraction import best_prefix_from_cliques
 from ..core.frank_wolfe import frank_wolfe
 from ..core.sctl import empty_result
@@ -49,7 +49,7 @@ def kcl_exact(
     max_total_iterations: int = 640,
     view: Optional[OrderedGraphView] = None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     """Exact k-clique densest subgraph via the Frank–Wolfe baseline.
 
     Parameters
@@ -95,7 +95,7 @@ def kcl_exact(
             flow_checks += 1
             density = Fraction(prefix.clique_count, len(candidate))
             if find_denser_subgraph(cliques, vertices, density) is None:
-                return DensestSubgraphResult(
+                return DenseSubgraphResult(
                     vertices=candidate,
                     clique_count=prefix.clique_count,
                     k=k,
@@ -115,7 +115,7 @@ def kcl_exact(
     prefix = best_prefix_from_cliques(cliques, state.weights)
     warm = sorted(prefix.vertices) or None
     solution, density = exact_densest_from_cliques(cliques, vertices, warm_start=warm)
-    return DensestSubgraphResult(
+    return DenseSubgraphResult(
         vertices=solution,
         clique_count=count_cliques_inside(cliques, solution),
         k=k,

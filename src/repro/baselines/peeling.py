@@ -24,7 +24,7 @@ from ..cliques.ordered_view import OrderedGraphView, build_ordered_view
 from ..errors import InvalidParameterError
 from ..graph.graph import Graph
 from ..options import RunOptions, warn_unsupported
-from ..core.density import DensestSubgraphResult
+from ..results import DenseSubgraphResult
 from ..core.sctl import empty_result
 
 __all__ = ["greedy_peeling"]
@@ -35,7 +35,7 @@ def greedy_peeling(
     k: int,
     view: Optional[OrderedGraphView] = None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     """Peel by minimum k-clique engagement; return the best suffix.
 
     Runs one peel of the whole graph.  At every step the remaining
@@ -89,7 +89,7 @@ def greedy_peeling(
                 best_count = remaining_cliques
 
     chosen = sorted(set(range(n)) - set(peel_order[:best_suffix_start]))
-    return DensestSubgraphResult(
+    return DenseSubgraphResult(
         vertices=chosen,
         clique_count=best_count,
         k=k,

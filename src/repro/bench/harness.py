@@ -119,11 +119,12 @@ def timed_with_metrics(
     """Run ``fn`` with a metrics recorder attached and keep its snapshot.
 
     ``fn`` receives a fresh :class:`~repro.obs.MetricsRecorder` (or the
-    one supplied) and should pass it through as the ``recorder=`` of
-    whatever it calls.  The returned :class:`Timed` carries the recorder's
-    aggregate snapshot in ``metrics``, so one benchmark row can print the
-    wall-clock :attr:`~Timed.cell` alongside per-stage
-    :meth:`~Timed.stage_cell` breakdowns.
+    one supplied) and should pass it through, as
+    ``options=RunOptions(recorder=...)``, to whatever it calls.  The
+    returned :class:`Timed` carries the recorder's aggregate snapshot in
+    ``metrics``, so one benchmark row can print the wall-clock
+    :attr:`~Timed.cell` alongside per-stage :meth:`~Timed.stage_cell`
+    breakdowns.
 
     The recorder itself adds measurable (if small) overhead; when
     comparing against plain :func:`timed` wall-clocks, report the stage

@@ -1,7 +1,6 @@
 """The paper's contributions: SCT*-Index, SCTL family, sampling, exact."""
 
 from .batch import batch_update
-from .density import DensestSubgraphResult
 from .exact import sctl_star_exact
 from .extraction import PrefixResult, best_prefix_from_cliques, best_prefix_from_paths
 from .reductions import (
@@ -28,7 +27,6 @@ __all__ = [
     "DirtyRegion",
     "apply_edge_updates",
     "compute_update",
-    "DensestSubgraphResult",
     "PrefixResult",
     "best_prefix_from_paths",
     "best_prefix_from_cliques",

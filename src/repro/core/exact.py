@@ -29,10 +29,8 @@ from typing import List, Optional
 from ..errors import BudgetExhausted, SolverError
 from ..flow.densest import count_cliques_inside, find_denser_subgraph
 from ..graph.graph import Graph
-from ..obs import NULL_RECORDER, Recorder
 from ..options import RunOptions
-from ..resilience.budget import NULL_BUDGET, Budget
-from .density import DensestSubgraphResult, PartialResult
+from ..results import DenseSubgraphResult, PartialResult
 from .reductions import engagement_threshold
 from .sampling import sctl_star_sample
 from .sct import SCTIndex
@@ -52,13 +50,8 @@ def sctl_star_exact(
     iterations: int = 10,
     seed: int = 0,
     max_rounds: int = 30,
-    recorder: Recorder = NULL_RECORDER,
-    budget: Budget = NULL_BUDGET,
-    checkpoint=None,
-    resume: bool = False,
-    parallel=None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     """Exact k-clique densest subgraph via Algorithm 7.
 
     Parameters
@@ -77,46 +70,33 @@ def sctl_star_exact(
     max_rounds:
         Safety valve on verification rounds; each failed round still makes
         strict progress, so this is never reached in practice.
-    recorder:
-        Observability hook (``repro.obs``).  An enabled recorder gets the
-        pipeline's stage spans — ``index/build`` (when the index is built
-        here), ``exact/warm_start``, ``exact/scope_reduction``,
-        ``exact/scope_index`` and one ``exact/flow_round/<i>`` per
-        verification round (the nested SCTL* refinement and its
-        reduction spans land underneath) — plus scope/drop counters and
-        the running density gauge.
-    budget:
-        Optional :class:`~repro.resilience.RunBudget`, polled at every
-        stage boundary and threaded into the warm start, the nested index
-        builds and the nested SCTL* refinement.  On exhaustion the run
-        falls back from the flow-certified exact answer to its best
-        achieved estimate (sampling warm start or better), returned as a
-        *valid* non-exact :class:`~repro.core.density.PartialResult`;
-        only exhaustion during the initial index build — before anything
-        is achieved — yields an invalid one.
-    checkpoint / resume:
-        Forwarded to the initial :meth:`SCTIndex.build` (kind
-        ``"sct-build"``) when the index is built here; nested sub-scope
-        builds and refinements run budget-only to keep checkpoint kinds
-        unambiguous.
-    parallel:
-        ``None`` (serial), an int worker count, or a
-        :class:`~repro.parallel.ParallelConfig`; forwarded into the
-        initial index build, the warm-start sampler, the sub-scope index
-        build and the nested SCTL* refinements — every stage keeps its
-        byte-for-byte serial parity, so the certified answer does too.
     options:
-        A :class:`~repro.options.RunOptions` bundling the knobs; the
-        individual keywords remain as aliases.
+        A :class:`~repro.options.RunOptions` with the cross-cutting knobs.
+
+        * ``recorder`` gets the pipeline's stage spans — ``index/build``
+          (when the index is built here), ``exact/warm_start``,
+          ``exact/scope_reduction``, ``exact/scope_index`` and one
+          ``exact/flow_round/<i>`` per verification round (the nested
+          SCTL* refinement and its reduction spans land underneath) —
+          plus scope/drop counters and the running density gauge.
+        * ``budget`` is polled at every stage boundary and threaded into
+          the warm start, the nested index builds and the nested SCTL*
+          refinement.  On exhaustion the run falls back from the
+          flow-certified exact answer to its best achieved estimate
+          (sampling warm start or better), returned as a *valid*
+          non-exact :class:`~repro.results.PartialResult`; only
+          exhaustion during the initial index build — before anything is
+          achieved — yields an invalid one.
+        * ``checkpoint`` / ``resume`` cover only the initial
+          :meth:`SCTIndex.build` (kind ``"sct-build"``) when the index is
+          built here; nested sub-scope builds and refinements run
+          budget-only to keep checkpoint kinds unambiguous.
+        * ``parallel`` reaches the initial index build, the warm-start
+          sampler, the sub-scope index build and the nested SCTL*
+          refinements — every stage keeps its byte-for-byte serial
+          parity, so the certified answer does too.
     """
-    opts = RunOptions.resolve(
-        options,
-        recorder=recorder,
-        budget=budget,
-        checkpoint=checkpoint,
-        resume=resume,
-        parallel=parallel,
-    )
+    opts = RunOptions.resolve(options)
     recorder = opts.recorder
     budget = opts.budget
     if index is None:
@@ -275,7 +255,7 @@ def sctl_star_exact(
                 certified=denser is None,
             )
         if denser is None:
-            return DensestSubgraphResult(
+            return DenseSubgraphResult(
                 vertices=sorted(best_vertices),
                 clique_count=best_count,
                 k=k,

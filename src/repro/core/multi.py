@@ -14,7 +14,7 @@ from typing import List
 
 from ..errors import InvalidParameterError
 from ..graph.graph import Graph
-from .density import DensestSubgraphResult
+from ..results import DenseSubgraphResult
 from .exact import sctl_star_exact
 from .sct import SCTIndex
 from .sctl_star import sctl_star
@@ -30,7 +30,7 @@ def top_dense_subgraphs(
     iterations: int = 10,
     min_density: float = 0.0,
     seed: int = 0,
-) -> List[DensestSubgraphResult]:
+) -> List[DenseSubgraphResult]:
     """Up to ``count`` vertex-disjoint dense subgraphs, densest first.
 
     Parameters
@@ -55,7 +55,7 @@ def top_dense_subgraphs(
     """
     if count < 1:
         raise InvalidParameterError(f"count must be >= 1, got {count}")
-    results: List[DensestSubgraphResult] = []
+    results: List[DenseSubgraphResult] = []
     current = graph
     id_map = list(graph.vertices())  # current-graph id -> original id
     for _ in range(count):
@@ -74,7 +74,7 @@ def top_dense_subgraphs(
             break
         original_vertices = sorted(id_map[v] for v in found.vertices)
         results.append(
-            DensestSubgraphResult(
+            DenseSubgraphResult(
                 vertices=original_vertices,
                 clique_count=found.clique_count,
                 k=k,

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..errors import InvalidParameterError
-from ..obs import NULL_RECORDER, Recorder
 from ..options import RunOptions
-from .density import DensestSubgraphResult
+from ..results import DenseSubgraphResult
 from .sct import SCTIndex
 from .sctl_star import sctl_star
 
@@ -26,7 +25,7 @@ __all__ = ["DensityProfile", "density_profile"]
 class DensityProfile:
     """Per-k densest-subgraph results over a range of clique sizes."""
 
-    results: Dict[int, DensestSubgraphResult]
+    results: Dict[int, DenseSubgraphResult]
 
     def k_values(self) -> List[int]:
         """The clique sizes covered, ascending."""
@@ -51,7 +50,6 @@ def density_profile(
     index: SCTIndex,
     k_values: Optional[Iterable[int]] = None,
     iterations: int = 10,
-    recorder: Recorder = NULL_RECORDER,
     options: Optional[RunOptions] = None,
 ) -> DensityProfile:
     """Run SCTL* for every requested k on one index.
@@ -66,22 +64,20 @@ def density_profile(
         ``max(3, threshold)`` up to the index's maximum clique size.
     iterations:
         SCTL* refinement passes per k.
-    recorder:
-        Observability hook: each k's SCTL* run lands under a
-        ``profile/k/<k>`` span.
     options:
         A :class:`~repro.options.RunOptions`; the recorder, budget and
-        parallel knobs are forwarded into each per-k SCTL* run.  The
-        checkpoint/resume knobs are stripped — the per-k runs would
+        parallel knobs are forwarded into each per-k SCTL* run, and each
+        k's run lands under a ``profile/k/<k>`` span of the recorder.
+        The checkpoint/resume knobs are stripped — the per-k runs would
         otherwise overwrite each other's snapshots.
     """
-    opts = RunOptions.resolve(options, recorder=recorder)
+    opts = RunOptions.resolve(options)
     run_opts = opts.replace(checkpoint=None, resume=False)
     recorder = opts.recorder
     if k_values is None:
         lo = max(3, index.threshold)
         k_values = range(lo, index.max_clique_size + 1)
-    results: Dict[int, DensestSubgraphResult] = {}
+    results: Dict[int, DenseSubgraphResult] = {}
     for k in k_values:
         if k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {k}")

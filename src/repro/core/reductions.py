@@ -62,7 +62,6 @@ def kp_computation(
     index: SCTIndex,
     k: int,
     paths: Optional[Iterable[SCTPath]] = None,
-    recorder: Recorder = NULL_RECORDER,
     options: Optional[RunOptions] = None,
 ) -> KCliquePartition:
     """Compute the k-clique-isolating partition (Algorithm 3).
@@ -80,17 +79,16 @@ def kp_computation(
     paths:
         Pre-collected valid paths to reuse (else streamed off the index in
         a single sweep — no path list is materialised).
-    recorder:
-        Observability hook: an enabled recorder gets a
-        ``reductions/kp_computation`` span plus ``reductions/paths_merged``
-        and ``reductions/partitions`` counters.
     options:
         A :class:`~repro.options.RunOptions`; only the recorder and
-        parallel knobs apply here.  With workers the path sweep is
-        sharded across a process pool, but the unions are applied in the
-        serial path order, so the representatives are identical.
+        parallel knobs apply here.  An enabled recorder gets a
+        ``reductions/kp_computation`` span plus ``reductions/paths_merged``
+        and ``reductions/partitions`` counters.  With workers the path
+        sweep is sharded across a process pool, but the unions are
+        applied in the serial path order, so the representatives are
+        identical.
     """
-    opts = RunOptions.resolve(options, recorder=recorder)
+    opts = RunOptions.resolve(options)
     recorder = opts.recorder
     engine = None
     if paths is None and opts.parallel is not None and opts.parallel.enabled:

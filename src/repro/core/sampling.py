@@ -26,10 +26,9 @@ from math import comb
 from typing import Iterable, List, Optional, Tuple
 
 from ..errors import BudgetExhausted, InvalidParameterError
-from ..obs import NULL_RECORDER, Recorder
 from ..options import RunOptions
-from ..resilience.budget import NULL_BUDGET, Budget
-from .density import DensestSubgraphResult, PartialResult
+from ..resilience.budget import NULL_BUDGET
+from ..results import DenseSubgraphResult, PartialResult
 from .extraction import best_prefix_from_cliques
 from .reductions import engagement_threshold
 from .sct import SCTIndex, SCTPath
@@ -81,8 +80,6 @@ def sample_k_cliques(
     k: int,
     sample_size: int,
     rng: random.Random,
-    recorder: Recorder = NULL_RECORDER,
-    budget: Budget = NULL_BUDGET,
     options: Optional[RunOptions] = None,
 ) -> List[Tuple[int, ...]]:
     """Stage 1: a proportional, distinct-per-path sample of k-cliques.
@@ -96,20 +93,19 @@ def sample_k_cliques(
     allocate), so a streaming :class:`~repro.core.sct.SCTPathView` works as
     well as a materialised list and draws the identical sample.
 
-    An enabled ``recorder`` gets a ``sample/draw`` span plus counters for
-    the clique population, the paths that received samples, and the
-    cliques actually drawn.
+    ``options`` (a :class:`~repro.options.RunOptions`) applies two knobs;
+    the checkpoint and parallel knobs do not apply here (``paths`` is
+    given by the caller, who decides how it is produced):
 
-    A ``budget`` is polled per path; on exhaustion the partially drawn
-    sample is useless (its shares no longer sum correctly), so this
-    function raises :class:`~repro.errors.BudgetExhausted` and the caller
-    degrades.
-
-    ``options=`` carries the same recorder/budget as a bundle; the
-    checkpoint and parallel knobs do not apply here (``paths`` is given
-    by the caller, who decides how it is produced).
+    * an enabled ``recorder`` gets a ``sample/draw`` span plus counters
+      for the clique population, the paths that received samples, and the
+      cliques actually drawn;
+    * a ``budget`` is polled per path; on exhaustion the partially drawn
+      sample is useless (its shares no longer sum correctly), so this
+      function raises :class:`~repro.errors.BudgetExhausted` and the
+      caller degrades.
     """
-    opts = RunOptions.resolve(options, recorder=recorder, budget=budget)
+    opts = RunOptions.resolve(options)
     recorder = opts.recorder
     budget = opts.budget
     with recorder.span("sample/draw"):
@@ -169,11 +165,8 @@ def sctl_star_sample(
     seed: int = 0,
     use_reduction: bool = True,
     paths: Optional[Iterable[SCTPath]] = None,
-    recorder: Recorder = NULL_RECORDER,
-    budget: Budget = NULL_BUDGET,
-    parallel=None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     """Run SCTL*-Sample (Algorithm 6).
 
     Parameters
@@ -197,36 +190,29 @@ def sctl_star_sample(
         **streamed** off the index (two sweeps: global count + allocation),
         so no path list is ever materialised; the drawn sample is identical
         to the pre-collected mode for the same seed.
-    recorder:
-        Observability hook (``repro.obs``): ``sample/draw``,
-        ``sample/refine`` and ``sample/recover`` spans with draw/visit
-        counters and the sampled vs. recovered density gauges.
-    budget:
-        Optional :class:`~repro.resilience.RunBudget`.  Exhaustion during
-        the draw stage yields an *invalid*
-        :class:`~repro.core.density.PartialResult` (a partial sample's
-        shares are biased, so nothing usable exists yet); exhaustion
-        during refinement rolls the half-swept pass back and degrades to
-        a *valid* partial result — recovery still measures the true
-        density of the extracted prefix on the original graph.
-    parallel:
-        ``None`` (serial), an int worker count, or a
-        :class:`~repro.parallel.ParallelConfig`; shards the two drawing
-        sweeps over a process pool.  The paths arrive in serial order,
-        so the drawn sample — and everything downstream — is identical
-        for any worker count and the same seed.
     options:
-        A :class:`~repro.options.RunOptions` bundling the knobs; the
-        individual keywords remain as aliases.  Checkpoint/resume do not
+        A :class:`~repro.options.RunOptions`; checkpoint/resume do not
         apply to sampling and are ignored.
+
+        * ``recorder`` gets ``sample/draw``, ``sample/refine`` and
+          ``sample/recover`` spans with draw/visit counters and the
+          sampled vs. recovered density gauges.
+        * ``budget`` exhaustion during the draw stage yields an *invalid*
+          :class:`~repro.results.PartialResult` (a partial sample's
+          shares are biased, so nothing usable exists yet); exhaustion
+          during refinement rolls the half-swept pass back and degrades
+          to a *valid* partial result — recovery still measures the true
+          density of the extracted prefix on the original graph.
+        * ``parallel`` shards the two drawing sweeps over a process pool.
+          The paths arrive in serial order, so the drawn sample — and
+          everything downstream — is identical for any worker count and
+          the same seed.
     """
     if sample_size < 1:
         raise InvalidParameterError(f"sample_size must be >= 1, got {sample_size}")
     if iterations < 1:
         raise InvalidParameterError(f"iterations must be >= 1, got {iterations}")
-    opts = RunOptions.resolve(
-        options, recorder=recorder, budget=budget, parallel=parallel
-    )
+    opts = RunOptions.resolve(options)
     recorder = opts.recorder
     budget = opts.budget
     rng = random.Random(seed)
@@ -384,7 +370,7 @@ def sctl_star_sample(
             reason=exhausted,
             stage="sample/refine",
         )
-    return DensestSubgraphResult(
+    return DenseSubgraphResult(
         vertices=chosen,
         clique_count=true_count,
         k=k,

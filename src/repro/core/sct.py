@@ -44,7 +44,7 @@ from typing import Dict, IO, Iterable, Iterator, List, Optional, Sequence, Set, 
 from ..cliques.ordered_view import OrderedGraphView, build_ordered_view
 from ..errors import IndexBuildError, IndexQueryError
 from ..graph.graph import Graph
-from ..obs import NULL_RECORDER, Recorder
+from ..obs import Recorder
 from ..options import RunOptions
 from ..resilience.budget import NULL_BUDGET, Budget
 from ..resilience.checkpoint import Checkpointer, atomic_writer, require_match
@@ -354,11 +354,6 @@ class SCTIndex:
         graph: Graph,
         threshold: int = 0,
         view: Optional[OrderedGraphView] = None,
-        recorder: Recorder = NULL_RECORDER,
-        budget: Budget = NULL_BUDGET,
-        checkpoint=None,
-        resume: bool = False,
-        parallel=None,
         options: Optional[RunOptions] = None,
     ) -> "SCTIndex":
         """Build the SCT*-Index of ``graph``.
@@ -376,51 +371,32 @@ class SCTIndex:
             answers every ``k``.
         view:
             Optional pre-built ordered view to reuse.
-        recorder:
-            Observability hook (``repro.obs``).  An enabled recorder gets
-            an ``index/build`` span, node/label counters and the
-            per-lemma root-pruning tallies; the default null recorder
-            costs nothing.
-        budget:
-            Optional :class:`~repro.resilience.RunBudget`.  The build
-            polls it per root subtree (and every few thousand nodes
-            inside one) and, on exhaustion, saves a checkpoint when one
-            is configured and raises the matching
-            :class:`~repro.errors.BudgetExhausted` — a build cannot
-            return a partial index, but it can resume.  The default
-            :data:`~repro.resilience.NULL_BUDGET` costs nothing.
-        checkpoint:
-            A :class:`~repro.resilience.Checkpointer` or a directory
-            path.  When set, the build frontier (the flat node columns
-            plus the next root to expand) is snapshotted atomically at
-            root-subtree boundaries whenever the checkpointer says a save
-            is due, and cleared once the build completes.
-        resume:
-            Restart from the ``checkpoint`` directory's build snapshot
-            (validated against the graph's ``n``/``m`` and the
-            ``threshold``).  A resumed build is bit-identical to an
-            uninterrupted one.  No snapshot present means a fresh build.
-        parallel:
-            ``None`` (serial), an int worker count, or a
-            :class:`~repro.parallel.ParallelConfig`.  With more than one
-            worker the per-root subtrees are expanded in a process pool
-            and merged in seed order, producing a byte-identical index.
         options:
-            A :class:`~repro.options.RunOptions` bundling the recorder /
-            budget / checkpoint / resume / parallel knobs; the individual
-            keywords remain as aliases (conflicts raise
-            :class:`~repro.errors.InvalidParameterError`).
+            A :class:`~repro.options.RunOptions` with the cross-cutting
+            knobs; every default costs nothing.
+
+            * ``recorder`` gets an ``index/build`` span, node/label
+              counters and the per-lemma root-pruning tallies.
+            * ``budget`` is polled per root subtree (and every few
+              thousand nodes inside one).  On exhaustion the build saves
+              a checkpoint when one is configured and raises the matching
+              :class:`~repro.errors.BudgetExhausted` — a build cannot
+              return a partial index, but it can resume.
+            * ``checkpoint`` snapshots the build frontier (the flat node
+              columns plus the next root to expand) atomically at
+              root-subtree boundaries whenever a save is due, and clears
+              it once the build completes.
+            * ``resume`` restarts from that build snapshot (validated
+              against the graph's ``n``/``m`` and the ``threshold``).  A
+              resumed build is bit-identical to an uninterrupted one.  No
+              snapshot present means a fresh build.
+            * ``parallel`` with more than one worker expands the per-root
+              subtrees in a process pool and merges them in seed order,
+              producing a byte-identical index.
         """
         if threshold < 0:
             raise IndexBuildError(f"threshold must be >= 0, got {threshold}")
-        opts = RunOptions.resolve(
-            options,
-            recorder=recorder,
-            budget=budget,
-            checkpoint=checkpoint,
-            resume=resume,
-            parallel=parallel,
-        )
+        opts = RunOptions.resolve(options)
         ckpt = Checkpointer.ensure(opts.checkpoint)
         with opts.recorder.span("index/build", observe="stage/index_build"):
             if opts.parallel is not None and opts.parallel.enabled:
@@ -936,9 +912,6 @@ class SCTIndex:
         self,
         k: Optional[int] = None,
         enforce_support: bool = True,
-        recorder: Recorder = NULL_RECORDER,
-        budget: Budget = NULL_BUDGET,
-        parallel=None,
         options: Optional[RunOptions] = None,
         _root_slice: Optional[Tuple[int, int]] = None,
     ) -> Iterator[SCTPath]:
@@ -961,40 +934,43 @@ class SCTIndex:
         paper relies on ("most k-cliques in the densest subgraph come from
         larger cliques").
 
-        An enabled ``recorder`` tallies ``paths/yielded`` and (with ``k``)
-        ``paths/cliques`` — the number of k-cliques the yielded paths
-        represent — once the traversal finishes or is closed.
+        ``options`` (a :class:`~repro.options.RunOptions`) applies three
+        knobs; checkpoint/resume do not apply to a traversal:
 
-        An active ``budget`` is polled once per yielded path; on
-        exhaustion the iterator raises the matching
-        :class:`~repro.errors.BudgetExhausted` (a generator cannot
-        degrade to a partial result — its consumers do).
-
-        ``parallel=`` (or ``options=`` carrying a parallel config with
-        more than one worker) shards the walk across a process pool; the
-        chunks are merged in order, so the yielded sequence is identical
-        to a serial walk.
+        * an enabled ``recorder`` tallies ``paths/yielded`` and (with
+          ``k``) ``paths/cliques`` — the number of k-cliques the yielded
+          paths represent — once the traversal finishes or is closed;
+        * an active ``budget`` is polled once per yielded path; on
+          exhaustion the iterator raises the matching
+          :class:`~repro.errors.BudgetExhausted` (a generator cannot
+          degrade to a partial result — its consumers do);
+        * ``parallel`` with more than one worker shards the walk across a
+          process pool; the chunks are merged in order, so the yielded
+          sequence is identical to a serial walk.
         """
-        if options is not None or parallel is not None:
-            opts = RunOptions.resolve(
-                options, recorder=recorder, budget=budget, parallel=parallel
+        opts = RunOptions.resolve(options)
+        if (
+            opts.parallel is not None
+            and opts.parallel.enabled
+            and _root_slice is None
+        ):
+            return self._iter_paths_parallel(k, enforce_support, opts)
+        if opts.recorder.enabled:
+            return self._iter_paths_recorded(
+                k, enforce_support, opts, _root_slice
             )
-            recorder = opts.recorder
-            budget = opts.budget
-            if (
-                opts.parallel is not None
-                and opts.parallel.enabled
-                and _root_slice is None
-            ):
-                yield from self._iter_paths_parallel(
-                    k, enforce_support, recorder, budget, opts.parallel
-                )
-                return
-        if recorder.enabled:
-            yield from self._iter_paths_recorded(
-                k, enforce_support, recorder, budget, _root_slice
-            )
-            return
+        return self._iter_paths_plain(
+            k, enforce_support, opts.budget, _root_slice
+        )
+
+    def _iter_paths_plain(
+        self,
+        k: Optional[int],
+        enforce_support: bool,
+        budget: Budget,
+        _root_slice: Optional[Tuple[int, int]],
+    ) -> Iterator[SCTPath]:
+        """The serial walk behind :meth:`iter_paths`, with no recorder."""
         if k is not None and enforce_support:
             self._require_k(k)
         if self.n_tree_nodes == 0:
@@ -1014,8 +990,7 @@ class SCTIndex:
         self,
         k: Optional[int],
         enforce_support: bool,
-        recorder: Recorder,
-        budget: Budget = NULL_BUDGET,
+        opts: RunOptions,
         _root_slice: Optional[Tuple[int, int]] = None,
     ) -> Iterator[SCTPath]:
         """Counting wrapper behind :meth:`iter_paths` with a live recorder.
@@ -1023,12 +998,13 @@ class SCTIndex:
         Kept out of the plain traversal so the no-recorder path pays
         nothing; totals are flushed even on early ``close()``.
         """
+        recorder = opts.recorder
         n_paths = 0
         n_cliques = 0
         started = time.perf_counter()
         try:
-            for path in self.iter_paths(
-                k, enforce_support, budget=budget, _root_slice=_root_slice
+            for path in self._iter_paths_plain(
+                k, enforce_support, opts.budget, _root_slice
             ):
                 n_paths += 1
                 if k is not None:
@@ -1046,9 +1022,7 @@ class SCTIndex:
         self,
         k: Optional[int],
         enforce_support: bool,
-        recorder: Recorder,
-        budget: Budget,
-        config,
+        opts: RunOptions,
     ) -> Iterator[SCTPath]:
         """Pool-backed :meth:`iter_paths`: chunked shards, merged in order.
 
@@ -1060,14 +1034,16 @@ class SCTIndex:
 
         if k is not None and enforce_support:
             self._require_k(k)
+        recorder = opts.recorder
+        budget = opts.budget
         n_paths = 0
         n_cliques = 0
         started = time.perf_counter()
-        engine = PathShardEngine(self, config, recorder=recorder)
+        engine = PathShardEngine(self, opts.parallel, recorder=recorder)
         try:
             if not engine.has_chunks:
                 yield from self.iter_paths(
-                    k, enforce_support, recorder=recorder, budget=budget
+                    k, enforce_support, options=opts.replace(parallel=None)
                 )
                 return
             tally_cliques = recorder.enabled and k is not None
@@ -1100,9 +1076,6 @@ class SCTIndex:
         self,
         k: Optional[int] = None,
         enforce_support: bool = True,
-        recorder: Recorder = NULL_RECORDER,
-        budget: Budget = NULL_BUDGET,
-        parallel=None,
         options: Optional[RunOptions] = None,
     ) -> "SCTPathView":
         """A re-iterable, zero-materialisation view over the valid paths.
@@ -1115,20 +1088,17 @@ class SCTIndex:
         :meth:`collect_paths` reuse only when the path list comfortably fits
         in memory and is swept many times.
 
-        With a parallel config (``parallel=`` or inside ``options=``),
-        each ``iter()`` runs through a short-lived process pool; the path
-        order is unchanged.  Algorithms that sweep a view many times hold
-        one long-lived engine instead — prefer passing ``options=`` to
-        them over iterating a parallel view repeatedly.
+        ``options`` is handed to every ``iter()`` unchanged (see
+        :meth:`iter_paths` for the knobs that apply).  With a parallel
+        config, each ``iter()`` runs through a short-lived process pool;
+        the path order is unchanged.  Algorithms that sweep a view many
+        times hold one long-lived engine instead — prefer passing
+        ``options=`` to them over iterating a parallel view repeatedly.
         """
-        opts = RunOptions.resolve(
-            options, recorder=recorder, budget=budget, parallel=parallel
-        )
+        opts = RunOptions.resolve(options)
         if k is not None and enforce_support:
             self._require_k(k)
-        return SCTPathView(
-            self, k, enforce_support, opts.recorder, opts.budget, opts.parallel
-        )
+        return SCTPathView(self, k, enforce_support, opts)
 
     def traversal_node_count(self, k: Optional[int] = None) -> int:
         """Number of tree nodes visited when listing k-cliques.
@@ -1155,9 +1125,7 @@ class SCTIndex:
                     return engine.count_cliques(k)[1]
         return sum(
             path.clique_count(k)
-            for path in self.iter_paths(
-                k, recorder=opts.recorder, budget=opts.budget
-            )
+            for path in self.iter_paths(k, options=opts.replace(parallel=None))
         )
 
     def clique_counts_by_size(self) -> Dict[int, int]:
@@ -1453,33 +1421,25 @@ class SCTPathView:
     ever materialising it.
     """
 
-    __slots__ = (
-        "_index", "_k", "_enforce_support", "_recorder", "_budget", "_parallel"
-    )
+    __slots__ = ("_index", "_k", "_enforce_support", "_options")
 
     def __init__(
         self,
         index: SCTIndex,
         k: Optional[int],
         enforce_support: bool = True,
-        recorder: Recorder = NULL_RECORDER,
-        budget: Budget = NULL_BUDGET,
-        parallel=None,
+        options: Optional[RunOptions] = None,
     ):
         self._index = index
         self._k = k
         self._enforce_support = enforce_support
-        self._recorder = recorder
-        self._budget = budget
-        self._parallel = parallel
+        self._options = options
 
     def __iter__(self) -> Iterator[SCTPath]:
         return self._index.iter_paths(
             self._k,
             enforce_support=self._enforce_support,
-            recorder=self._recorder,
-            budget=self._budget,
-            parallel=self._parallel,
+            options=self._options,
         )
 
     def __repr__(self) -> str:

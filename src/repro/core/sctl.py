@@ -18,11 +18,11 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from ..errors import InvalidParameterError
-from ..obs import NULL_RECORDER, Recorder
+from ..obs import Recorder
 from ..options import RunOptions
 from ..resilience.budget import NULL_BUDGET, Budget
 from ..resilience.checkpoint import Checkpointer, require_match
-from .density import DensestSubgraphResult, PartialResult
+from ..results import DenseSubgraphResult, PartialResult
 from .extraction import best_prefix_from_paths
 from .sct import SCTIndex, SCTPath
 
@@ -31,9 +31,9 @@ __all__ = ["sctl", "empty_result"]
 _CHECKPOINT_KIND = "sctl-weights"
 
 
-def empty_result(k: int, algorithm: str, exact: bool = False) -> DensestSubgraphResult:
+def empty_result(k: int, algorithm: str, exact: bool = False) -> DenseSubgraphResult:
     """The canonical result when the graph contains no k-clique."""
-    return DensestSubgraphResult(
+    return DenseSubgraphResult(
         vertices=[], clique_count=0, k=k, algorithm=algorithm, exact=exact
     )
 
@@ -45,13 +45,8 @@ def sctl(
     warm_start: Optional[Sequence[int]] = None,
     paths: Optional[Iterable[SCTPath]] = None,
     track_convergence: bool = False,
-    recorder: Recorder = NULL_RECORDER,
-    budget: Budget = NULL_BUDGET,
-    checkpoint=None,
-    resume: bool = False,
-    parallel=None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     """Run SCTL for ``iterations`` rounds and extract the densest prefix.
 
     Parameters
@@ -82,50 +77,37 @@ def sctl(
         the certified upper bound per iteration (slower; used for
         convergence studies).  Stored in ``stats["density_history"]`` and
         ``stats["upper_bound_history"]``.
-    recorder:
-        Observability hook (``repro.obs``): per-pass
-        ``refine/iteration/<t>`` spans, ``refine/*`` counters and the L1
-        weight-change gauge; the default null recorder is free.
-    budget:
-        Optional :class:`~repro.resilience.RunBudget`, polled at round
-        boundaries and per path inside a round.  On exhaustion the
-        function degrades to a :class:`~repro.core.density.PartialResult`
-        extracted from the weights of the last *completed* round (a
-        half-swept round is rolled back, so resumed runs keep exact
-        parity); with no completed rounds the partial result is empty
-        and flagged invalid.
-    checkpoint:
-        A :class:`~repro.resilience.Checkpointer` or directory path.
-        The weight vector is snapshotted atomically at round boundaries
-        whenever a save is due, and cleared once the run completes.
-    resume:
-        Restore the weight vector (validated against ``k``, the vertex
-        count and the algorithm) and continue from the next round.
-    parallel:
-        ``None`` (serial), an int worker count, or a
-        :class:`~repro.parallel.ParallelConfig`.  With more than one
-        worker each pass streams the paths through a process pool while
-        the per-clique weight updates stay in this process, applied in
-        the serial path order — the result is byte-identical to serial.
     options:
-        A :class:`~repro.options.RunOptions` bundling the five
-        cross-cutting knobs; the individual keywords remain as aliases
-        (conflicts raise :class:`~repro.errors.InvalidParameterError`).
+        A :class:`~repro.options.RunOptions` with the cross-cutting
+        knobs; every default is free.
 
-    Returns a :class:`DensestSubgraphResult` whose ``stats`` carry the raw
+        * ``recorder`` gets per-pass ``refine/iteration/<t>`` spans,
+          ``refine/*`` counters and the L1 weight-change gauge.
+        * ``budget`` is polled at round boundaries and per path inside a
+          round.  On exhaustion the function degrades to a
+          :class:`~repro.results.PartialResult` extracted from the
+          weights of the last *completed* round (a half-swept round is
+          rolled back, so resumed runs keep exact parity); with no
+          completed rounds the partial result is empty and flagged
+          invalid.
+        * ``checkpoint`` snapshots the weight vector atomically at round
+          boundaries whenever a save is due, and clears it once the run
+          completes.
+        * ``resume`` restores the weight vector (validated against
+          ``k``, the vertex count and the algorithm) and continues from
+          the next round.
+        * ``parallel`` with more than one worker streams each pass's
+          paths through a process pool while the per-clique weight
+          updates stay in this process, applied in the serial path
+          order — the result is byte-identical to serial.
+
+    Returns a :class:`DenseSubgraphResult` whose ``stats`` carry the raw
     vertex weights (``"weights"``) and the per-pass clique count
     (``"cliques_per_iteration"``).
     """
     if iterations < 1:
         raise InvalidParameterError(f"iterations must be >= 1, got {iterations}")
-    opts = RunOptions.resolve(
-        options,
-        recorder=recorder,
-        budget=budget,
-        checkpoint=checkpoint,
-        resume=resume,
-        parallel=parallel,
-    )
+    opts = RunOptions.resolve(options)
     recorder = opts.recorder
     budget = opts.budget
     resume = opts.resume
@@ -182,7 +164,7 @@ def _sctl_run(
     ckpt: Optional[Checkpointer],
     resume: bool,
     engine,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     n = index.n_vertices
     seed = _validated_warm_start(warm_start, n)
     n_paths = 0
@@ -338,7 +320,7 @@ def _sctl_run(
             reason=exhausted,
             stage=f"refine/iteration/{completed + 1}",
         )
-    return DensestSubgraphResult(
+    return DenseSubgraphResult(
         vertices=sorted(prefix.vertices),
         clique_count=prefix.clique_count,
         k=k,

@@ -28,12 +28,12 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..errors import InvalidParameterError
 from ..graph.graph import Graph
-from ..obs import NULL_RECORDER, Recorder
+from ..obs import Recorder
 from ..options import RunOptions
 from ..resilience.budget import NULL_BUDGET, Budget
 from ..resilience.checkpoint import Checkpointer, require_match
+from ..results import DenseSubgraphResult, PartialResult
 from .batch import batch_update
-from .density import DensestSubgraphResult, PartialResult
 from .extraction import best_prefix_from_paths
 from .reductions import engagement_threshold, kp_computation, partition_density_bounds
 from .sct import SCTIndex, SCTPath
@@ -76,13 +76,8 @@ def sctl_star(
     collect_stats: bool = False,
     paths: Optional[Iterable[SCTPath]] = None,
     algorithm_name: Optional[str] = None,
-    recorder: Recorder = NULL_RECORDER,
-    budget: Budget = NULL_BUDGET,
-    checkpoint=None,
-    resume: bool = False,
-    parallel=None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     """Run SCTL* (Algorithm 5) and return the best extracted subgraph.
 
     Parameters
@@ -119,57 +114,42 @@ def sctl_star(
         order is deterministic.
     algorithm_name:
         Override the reported algorithm label.
-    recorder:
-        Observability hook (``repro.obs``).  An enabled recorder gets one
-        ``refine/iteration/<t>`` span per pass, ``refine/*`` counters
-        (paths swept, cliques processed, weight updates),
-        ``reductions/*`` pruning tallies, and per-iteration convergence
-        telemetry: the achieved density and the L1 norm of the weight
-        change.  The default null recorder leaves behaviour and output
-        byte-identical.
-    budget:
-        Optional :class:`~repro.resilience.RunBudget`, polled at iteration
-        boundaries and per path inside a sweep.  On exhaustion the run
-        degrades to a :class:`~repro.core.density.PartialResult` carrying
-        the best subgraph achieved so far (a half-swept iteration is
-        rolled back to its entry state, so resumed runs keep exact
-        parity) — the result is always ``valid`` because SCTL* starts
-        from an achieved maximum clique.
-    checkpoint:
-        A :class:`~repro.resilience.Checkpointer` or directory path.
-        The full refinement state (weights, evolving engagement, best
-        subgraph, tallies) is snapshotted atomically at iteration
-        boundaries whenever a save is due, force-saved on exhaustion and
-        cleared once the run completes.
-    resume:
-        Restore the refinement state (validated against the algorithm
-        variant, ``k`` and the vertex count) and continue from the next
-        iteration.  Partition labels and density bounds are recomputed —
-        they derive deterministically from the initial engagement, so the
-        resumed run matches an uninterrupted one exactly.
-    parallel:
-        ``None`` (serial), an int worker count, or a
-        :class:`~repro.parallel.ParallelConfig`.  With more than one
-        worker each sweep's path filtering and counting (phase A) runs
-        over disjoint contiguous path shards in a process pool while the
-        weight updates (phase B) are applied here in serial path order —
-        byte-identical results for any worker count.  The budget is then
-        polled per merged chunk instead of per path.
     options:
-        A :class:`~repro.options.RunOptions` bundling the five
-        cross-cutting knobs; the individual keywords remain as aliases
-        (conflicts raise :class:`~repro.errors.InvalidParameterError`).
+        A :class:`~repro.options.RunOptions` with the cross-cutting
+        knobs; the defaults leave behaviour and output byte-identical.
+
+        * ``recorder`` gets one ``refine/iteration/<t>`` span per pass,
+          ``refine/*`` counters (paths swept, cliques processed, weight
+          updates), ``reductions/*`` pruning tallies, and per-iteration
+          convergence telemetry: the achieved density and the L1 norm of
+          the weight change.
+        * ``budget`` is polled at iteration boundaries and per path
+          inside a sweep.  On exhaustion the run degrades to a
+          :class:`~repro.results.PartialResult` carrying the best
+          subgraph achieved so far (a half-swept iteration is rolled
+          back to its entry state, so resumed runs keep exact parity) —
+          the result is always ``valid`` because SCTL* starts from an
+          achieved maximum clique.
+        * ``checkpoint`` snapshots the full refinement state (weights,
+          evolving engagement, best subgraph, tallies) atomically at
+          iteration boundaries whenever a save is due, force-saves it on
+          exhaustion and clears it once the run completes.
+        * ``resume`` restores the refinement state (validated against
+          the algorithm variant, ``k`` and the vertex count) and
+          continues from the next iteration.  Partition labels and
+          density bounds are recomputed — they derive deterministically
+          from the initial engagement, so the resumed run matches an
+          uninterrupted one exactly.
+        * ``parallel`` with more than one worker runs each sweep's path
+          filtering and counting (phase A) over disjoint contiguous path
+          shards in a process pool while the weight updates (phase B)
+          are applied here in serial path order — byte-identical results
+          for any worker count.  The budget is then polled per merged
+          chunk instead of per path.
     """
     if iterations < 1:
         raise InvalidParameterError(f"iterations must be >= 1, got {iterations}")
-    opts = RunOptions.resolve(
-        options,
-        recorder=recorder,
-        budget=budget,
-        checkpoint=checkpoint,
-        resume=resume,
-        parallel=parallel,
-    )
+    opts = RunOptions.resolve(options)
     ckpt = Checkpointer.ensure(opts.checkpoint)
     name = algorithm_name or (
         "SCTL*" if (use_reductions and use_batch)
@@ -217,7 +197,7 @@ def _sctl_star_run(
     ckpt: Optional[Checkpointer],
     resume: bool,
     engine,
-) -> DensestSubgraphResult:
+) -> DenseSubgraphResult:
     # emptiness probe: with an engine, a cheap serial peek — iterating the
     # parallel view would launch a full pooled sweep just to test for one path
     probe = index.iter_paths(k) if engine is not None else iter(paths)
@@ -482,7 +462,7 @@ def _sctl_star_run(
     if ckpt is not None:
         ckpt.clear(_CHECKPOINT_KIND)
     upper = max(max(weights) / iterations, float(best_density))
-    result = DensestSubgraphResult(
+    result = DenseSubgraphResult(
         vertices=best_vertices,
         clique_count=best_count,
         k=k,
@@ -504,22 +484,12 @@ def sctl_plus(
     graph: Optional[Graph] = None,
     collect_stats: bool = False,
     paths: Optional[Iterable[SCTPath]] = None,
-    recorder: Recorder = NULL_RECORDER,
-    budget: Budget = NULL_BUDGET,
-    checkpoint=None,
-    resume: bool = False,
-    parallel=None,
     options: Optional[RunOptions] = None,
-) -> DensestSubgraphResult:
-    """SCTL+ — SCTL with graph reductions but per-clique weight updates."""
-    opts = RunOptions.resolve(
-        options,
-        recorder=recorder,
-        budget=budget,
-        checkpoint=checkpoint,
-        resume=resume,
-        parallel=parallel,
-    )
+) -> DenseSubgraphResult:
+    """SCTL+ — SCTL with graph reductions but per-clique weight updates.
+
+    ``options`` is forwarded to :func:`sctl_star` unchanged.
+    """
     return sctl_star(
         index,
         k,
@@ -531,7 +501,7 @@ def sctl_plus(
         collect_stats=collect_stats,
         paths=paths,
         algorithm_name="SCTL+",
-        options=opts,
+        options=options,
     )
 
 

@@ -1,6 +1,6 @@
 """Independent verification of densest-subgraph results.
 
-``verify_result`` re-derives everything a :class:`DensestSubgraphResult`
+``verify_result`` re-derives everything a :class:`DenseSubgraphResult`
 claims using only KCList (no SCT*-Index, no flow) so that a user — or a
 test — can certify any algorithm's output against an independent code
 path.  For ``exact`` results it optionally re-checks optimality with the
@@ -16,7 +16,7 @@ from typing import List, Optional
 from ..cliques.kclist import count_k_cliques, iter_k_cliques
 from ..flow.densest import find_denser_subgraph
 from ..graph.graph import Graph
-from .density import DensestSubgraphResult
+from ..results import DenseSubgraphResult
 
 __all__ = ["VerificationReport", "verify_result"]
 
@@ -41,7 +41,7 @@ class VerificationReport:
 
 def verify_result(
     graph: Graph,
-    result: DensestSubgraphResult,
+    result: DenseSubgraphResult,
     check_optimality: Optional[bool] = None,
 ) -> VerificationReport:
     """Re-derive and check every claim in ``result``.

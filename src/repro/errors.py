@@ -66,7 +66,7 @@ class BudgetExhausted(ReproError):
     ``"cancelled"``; ``stage`` names the pipeline stage (obs span name)
     that observed the exhaustion, when known.  Result-returning entry
     points catch this internally and degrade to a
-    :class:`~repro.core.density.PartialResult`; only non-result producers
+    :class:`~repro.results.PartialResult`; only non-result producers
     (``SCTIndex.build``, ``iter_paths``) let it propagate.
     """
 

@@ -1,13 +1,13 @@
 """Structured metrics and tracing (`repro.obs`).
 
-Every instrumented entry point in the library takes ``recorder=``,
-defaulting to the no-op :data:`NULL_RECORDER`; pass a
-:class:`MetricsRecorder` to collect counters, gauges, log-bucketed
-latency :class:`Histogram`\\ s and nested phase spans — optionally
-mirrored as a JSON-lines trace.  Snapshots render to the Prometheus
-text format via :func:`render_exposition` (the service's ``GET
-/metrics`` endpoint).  See ``docs/observability.md`` for the event
-schema and the CLI flags.
+Every instrumented entry point in the library takes a recorder through
+``options=RunOptions(recorder=...)``, defaulting to the no-op
+:data:`NULL_RECORDER`; pass a :class:`MetricsRecorder` to collect
+counters, gauges, log-bucketed latency :class:`Histogram`\\ s and nested
+phase spans — optionally mirrored as a JSON-lines trace.  Snapshots
+render to the Prometheus text format via :func:`render_exposition` (the
+service's ``GET /metrics`` endpoint).  See ``docs/observability.md`` for
+the event schema and the CLI flags.
 """
 
 from .exposition import (

@@ -7,7 +7,7 @@ gives every stage of the pipeline a first-class way to report those
 numbers:
 
 * :class:`Recorder` — the protocol every instrumented function accepts
-  through an explicit ``recorder=`` keyword;
+  (the public entry points through ``options=RunOptions(recorder=...)``);
 * :class:`NullRecorder` — the default.  Every method is a no-op and
   ``enabled`` is ``False``, so instrumented code guards any measurement
   work behind ``if recorder.enabled:`` and library behaviour stays
@@ -110,9 +110,9 @@ _NULL_SPAN = _NullSpan()
 class NullRecorder:
     """The zero-overhead default recorder: every operation is a no-op.
 
-    A single shared instance, :data:`NULL_RECORDER`, is the default for
-    every ``recorder=`` keyword in the library; passing it explicitly is
-    equivalent to not passing a recorder at all.
+    A single shared instance, :data:`NULL_RECORDER`, is the default of
+    :attr:`RunOptions.recorder <repro.options.RunOptions.recorder>`;
+    passing it explicitly is equivalent to not passing a recorder at all.
     """
 
     __slots__ = ()

@@ -1,20 +1,11 @@
 """``RunOptions``: the one bundle for every cross-cutting execution knob.
 
-Every entry point of the pipeline historically accreted the same four
-keywords — ``recorder=`` (:mod:`repro.obs`), ``budget=`` and
-``checkpoint=``/``resume=`` (:mod:`repro.resilience`) — and the parallel
-engine adds a fifth (``parallel=``).  :class:`RunOptions` packages the
-five into a single frozen value that travels through the pipeline intact,
-while :meth:`RunOptions.resolve` keeps every legacy keyword working as a
-back-compat alias:
-
-* pass nothing — every knob at its free default;
-* pass legacy keywords — exactly the old behaviour;
-* pass ``options=RunOptions(...)`` — the new style;
-* pass both — fine as long as they do not disagree; a *conflicting*
-  assignment of the same knob through both spellings raises
-  :class:`~repro.errors.InvalidParameterError` rather than silently
-  picking one.
+Every entry point of the pipeline takes the same five knobs —
+``recorder`` (:mod:`repro.obs`), ``budget`` and ``checkpoint``/``resume``
+(:mod:`repro.resilience`) and ``parallel`` (:mod:`repro.parallel`) — as
+one frozen :class:`RunOptions` value passed through ``options=``.  It
+travels through the pipeline intact; :meth:`RunOptions.resolve` turns the
+``options=None`` default into the all-defaults bundle.
 
 Algorithms that do not support some knob (the pre-SCT baselines support
 none) accept ``options=`` anyway and report what they ignore through one
@@ -123,77 +114,18 @@ class RunOptions:
     # -- normalisation --------------------------------------------------
 
     @classmethod
-    def resolve(cls, options: Optional["RunOptions"] = None, **legacy) -> "RunOptions":
-        """Merge an ``options=`` value with legacy per-knob keywords.
+    def resolve(cls, options: Optional["RunOptions"] = None) -> "RunOptions":
+        """The given options, or the all-defaults bundle for ``None``.
 
-        Every entry point funnels its keywords through here.  The rules:
-
-        * a legacy keyword left at its default never participates;
-        * a legacy keyword carrying a non-default value emits a
-          :class:`DeprecationWarning` naming the ``options=`` spelling
-          that replaces it (the run proceeds unchanged);
-        * with ``options=None`` the legacy keywords (normalised) win;
-        * with both given, any knob set to *different* values through
-          both spellings raises
-          :class:`~repro.errors.InvalidParameterError`; agreeing
-          assignments and disjoint knobs merge fine.
-
-        Unknown keyword names are rejected — they are typos, not knobs.
+        Anything else raises :class:`~repro.errors.InvalidParameterError`.
         """
-        unknown = set(legacy) - set(_FIELDS)
-        if unknown:
-            raise InvalidParameterError(
-                f"unknown RunOptions field(s): {', '.join(sorted(unknown))}; "
-                f"expected one of: {', '.join(_FIELDS)}"
-            )
-        legacy_probe = cls(**legacy) if legacy else cls()
-        set_knobs = [
-            name
-            for name in _FIELDS
-            if name in legacy and not legacy_probe.is_default(name)
-        ]
-        if set_knobs:
-            spelled = ", ".join(f"{name}=..." for name in set_knobs)
-            warnings.warn(
-                f"the legacy keyword(s) {', '.join(set_knobs)} are "
-                f"deprecated; pass options=RunOptions({spelled}) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
         if options is None:
-            return legacy_probe
+            return cls()
         if not isinstance(options, RunOptions):
             raise InvalidParameterError(
                 f"options must be a RunOptions, got {type(options).__name__}"
             )
-        merged = {}
-        conflicts = []
-        for name in _FIELDS:
-            option_value = getattr(options, name)
-            if name not in legacy:
-                merged[name] = option_value
-                continue
-            legacy_value = legacy[name]
-            if name == "parallel":
-                legacy_value = ParallelConfig.normalize(legacy_value)
-            probe = cls(**{name: legacy_value})
-            legacy_value = getattr(probe, name)  # None-normalised
-            legacy_set = not probe.is_default(name)
-            option_set = not options.is_default(name)
-            if (
-                legacy_set
-                and option_set
-                and legacy_value is not option_value
-                and legacy_value != option_value
-            ):
-                conflicts.append(name)
-            merged[name] = legacy_value if legacy_set else option_value
-        if conflicts:
-            raise InvalidParameterError(
-                "conflicting values passed both through options= and the "
-                f"legacy keyword(s): {', '.join(conflicts)}"
-            )
-        return cls(**merged)
+        return options
 
 
 def warn_unsupported(

@@ -13,7 +13,8 @@ together make the whole pipeline shardable with a *deterministic* merge:
 * :class:`ParallelPathView` — a re-iterable path stream with the exact
   serial path order, a drop-in for :class:`~repro.core.SCTPathView`;
 * :func:`~repro.parallel.build.parallel_build` — pool-backed
-  :meth:`~repro.core.SCTIndex.build` (reached via ``parallel=``).
+  :meth:`~repro.core.SCTIndex.build` (reached via
+  ``options=RunOptions(parallel=...)``).
 
 ``workers=1`` never creates a pool; every entry point falls back to the
 single-process code path, so ``parallel=1`` is byte-identical to passing

@@ -140,7 +140,7 @@ def parallel_build(
     resume: bool,
     config: ParallelConfig,
 ):
-    """The pool-backed body behind ``SCTIndex.build(parallel=...)``."""
+    """The pool-backed body behind ``SCTIndex.build`` with workers."""
     if view is None:
         with recorder.span("ordered_view"):
             view = build_ordered_view(graph)

@@ -75,7 +75,7 @@ class MethodSpec:
       updated SCT*-Index and accepts ``warm_start=`` re-refinement
       (``POST /v1/update`` validates against this);
     * ``supports_parallel`` — the method shards across a worker pool
-      when ``parallel=`` is given;
+      when ``options`` carry a parallel config;
     * ``supports_budget`` — the method polls a
       :class:`~repro.resilience.RunBudget` and degrades to partials.
     """

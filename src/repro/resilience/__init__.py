@@ -3,16 +3,16 @@
 Three cooperating pieces harden the long-running SCTL* pipeline:
 
 * :class:`RunBudget` — a wall-clock deadline, optional iteration cap and
-  cooperative ``cancel()`` / signal hook, threaded as an explicit
-  ``budget=`` keyword through every pipeline stage.  Hot loops poll it
+  cooperative ``cancel()`` / signal hook, threaded through every
+  pipeline stage as ``options=RunOptions(budget=...)``.  Hot loops poll it
   behind a cheap ``budget.active`` guard, so the default
   :data:`NULL_BUDGET` path stays byte-identical to an unbudgeted run.
   On exhaustion, result-returning stages degrade to a
-  :class:`~repro.core.density.PartialResult` with their best-so-far
+  :class:`~repro.results.PartialResult` with their best-so-far
   answer instead of crashing.
 * :class:`Checkpointer` — periodic atomic snapshots (temp file +
   ``os.replace``, versioned header, CRC-verified on load) of index-build
-  frontier state and SCTL weight vectors, with ``resume=`` restart that
+  frontier state and SCTL weight vectors, with a ``resume`` restart that
   is parity-tested against an uninterrupted run.
 * :class:`FaultPlan` — raises, cancels or delays at named stage
   boundaries (the obs span names), so CI can prove interrupt-anywhere
@@ -27,8 +27,8 @@ Three cooperating pieces harden the long-running SCTL* pipeline:
 See ``docs/robustness.md`` for the full API and semantics.
 """
 
-from ..core.density import PartialResult
 from ..errors import BudgetExhausted, CheckpointError, TimeoutExceeded
+from ..results import PartialResult
 from .budget import NULL_BUDGET, Budget, NullBudget, RunBudget
 from .checkpoint import Checkpointer, atomic_writer, require_match
 from .faults import (

@@ -2,14 +2,14 @@
 
 The paper's heavy workloads — SCT*-Index builds and SCTL*-Exact's doubling
 refinement-plus-max-flow rounds — run for hours on billion-clique graphs.
-A :class:`RunBudget` threads an explicit ``budget=`` keyword through every
-stage of that pipeline so a run can stop *cooperatively*: hot loops poll
+A :class:`RunBudget`, passed as ``options=RunOptions(budget=...)``, reaches
+every stage of that pipeline so a run can stop *cooperatively*: hot loops poll
 at iteration/path granularity behind a cheap ``budget.active`` guard (the
 same pattern as ``recorder.enabled`` in :mod:`repro.obs`), so the default
 :data:`NULL_BUDGET` path stays byte-identical to an unbudgeted run.
 
 On exhaustion, result-returning stages degrade to a
-:class:`~repro.core.density.PartialResult` carrying their best-so-far
+:class:`~repro.results.PartialResult` carrying their best-so-far
 answer; producers that cannot return a result (``SCTIndex.build``,
 ``iter_paths``) raise the matching :class:`~repro.errors.BudgetExhausted`
 subtype instead (:class:`~repro.errors.TimeoutExceeded` for deadlines).
@@ -61,8 +61,8 @@ class Budget(Protocol):
 class NullBudget:
     """The zero-overhead default budget: never exhausted, every call a no-op.
 
-    A single shared instance, :data:`NULL_BUDGET`, is the default for every
-    ``budget=`` keyword in the library.
+    A single shared instance, :data:`NULL_BUDGET`, is the default of
+    :attr:`RunOptions.budget <repro.options.RunOptions.budget>`.
     """
 
     __slots__ = ()

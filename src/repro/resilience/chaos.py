@@ -14,7 +14,7 @@ the sweep runs the query twice:
   fault-free baseline exactly.
 * **cancel** — a ``"cancel"`` fault cooperatively cancels a
   :class:`RunBudget` at the stage boundary; the run must complete or
-  degrade to a well-formed :class:`~repro.core.density.PartialResult`
+  degrade to a well-formed :class:`~repro.results.PartialResult`
   whose achieved density never exceeds the baseline.
 
 A stage the chosen method never reaches is reported as ``skipped`` (the
@@ -33,9 +33,9 @@ import traceback
 from typing import List, Optional, Tuple
 
 from .. import densest_subgraph
-from ..core.density import DensestSubgraphResult
 from ..graph import Graph, read_edge_list
 from ..options import RunOptions
+from ..results import DenseSubgraphResult
 from .budget import RunBudget
 from .faults import PIPELINE_STAGES, FaultInjected, FaultPlan
 
@@ -50,9 +50,9 @@ def _load_graph(spec: str) -> Graph:
     return read_edge_list(spec)
 
 
-def _well_formed(result: DensestSubgraphResult, k: int) -> Optional[str]:
+def _well_formed(result: DenseSubgraphResult, k: int) -> Optional[str]:
     """None when ``result`` is structurally sound, else a complaint."""
-    if not isinstance(result, DensestSubgraphResult):
+    if not isinstance(result, DenseSubgraphResult):
         return f"returned {type(result).__name__}, not a result object"
     if result.k != k:
         return f"result.k = {result.k}, expected {k}"
@@ -68,7 +68,7 @@ def _well_formed(result: DensestSubgraphResult, k: int) -> Optional[str]:
 
 
 def _check_crash(
-    graph: Graph, k: int, method: str, stage: str, baseline: DensestSubgraphResult,
+    graph: Graph, k: int, method: str, stage: str, baseline: DenseSubgraphResult,
     **query_kwargs,
 ) -> Tuple[str, str]:
     """Inject a crash at ``stage``, resume, demand the exact baseline."""
@@ -112,7 +112,7 @@ def _check_crash(
 
 
 def _check_cancel(
-    graph: Graph, k: int, method: str, stage: str, baseline: DensestSubgraphResult,
+    graph: Graph, k: int, method: str, stage: str, baseline: DenseSubgraphResult,
     **query_kwargs,
 ) -> Tuple[str, str]:
     """Cancel the budget at ``stage``, demand graceful degradation."""

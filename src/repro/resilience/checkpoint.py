@@ -110,7 +110,7 @@ class Checkpointer:
     def ensure(
         cls, checkpoint: Union[None, PathLike, "Checkpointer"]
     ) -> Optional["Checkpointer"]:
-        """Normalise a ``checkpoint=`` argument: directory path or instance."""
+        """Normalise a ``checkpoint`` knob: directory path or instance."""
         if checkpoint is None or isinstance(checkpoint, Checkpointer):
             return checkpoint
         return cls(checkpoint)

@@ -10,7 +10,7 @@ to take when the stage boundary is crossed:
   at that boundary (the chaos harness then resumes from checkpoints);
 * ``"cancel"`` — cooperatively cancel an attached
   :class:`~repro.resilience.budget.RunBudget`, so the pipeline must
-  degrade to a well-formed :class:`~repro.core.density.PartialResult`;
+  degrade to a well-formed :class:`~repro.results.PartialResult`;
 * ``"delay"`` — sleep, for shaking out deadline races.
 
 The plan plugs in through the observability seam: :meth:`FaultPlan.recorder`
@@ -102,10 +102,10 @@ class Fault:
 class FaultPlan:
     """A set of :class:`Fault` entries plus the trigger log.
 
-    Use :meth:`recorder` to obtain the injecting recorder to pass as the
-    ``recorder=`` of the code under test; :attr:`triggered` records every
-    fault that actually fired, so tests can distinguish "survived the
-    fault" from "the fault never happened".
+    Use :meth:`recorder` to obtain the injecting recorder to pass as
+    ``options=RunOptions(recorder=...)`` to the code under test;
+    :attr:`triggered` records every fault that actually fired, so tests
+    can distinguish "survived the fault" from "the fault never happened".
     """
 
     def __init__(self, faults: Iterable[Fault] = ()):

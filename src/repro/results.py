@@ -20,24 +20,18 @@ Contract rules:
   silently misread;
 * consumers may add keys next to the contract fields (the CLI adds
   ``query_time_s``); validators accept unknown keys, so v1 payloads are
-  forward-extensible without a version bump;
-* tuple unpacking (``vertices, density = result``) keeps working for one
-  deprecation cycle via :meth:`DenseSubgraphResult.__iter__`, which
-  warns; the mapping is documented in ``docs/api.md``.
+  forward-extensible without a version bump.
 
-The class was historically named ``DensestSubgraphResult`` (still
-importable everywhere it used to be); :class:`PartialResult` is the
-budget-degradation subclass and shares the exact same wire encoding with
-``"partial": true``.
+:class:`PartialResult` is the budget-degradation subclass and shares the
+exact same wire encoding with ``"partial": true``.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from .errors import InvalidParameterError
 
@@ -181,24 +175,6 @@ class DenseSubgraphResult:
             f"{self.algorithm} (k={self.k}, {flag}): |S|={self.size}, "
             f"cliques={self.clique_count}, density={self.density:.4f}"
         )
-
-    # -- legacy tuple protocol (one deprecation cycle) ------------------
-
-    def __iter__(self) -> Iterator[Any]:
-        """Deprecated tuple view: yields ``vertices`` then ``density``.
-
-        ``vertices, density = result`` keeps working for one deprecation
-        cycle; switch to ``result.vertices`` / ``result.density`` (the
-        mapping is documented in ``docs/api.md``).
-        """
-        warnings.warn(
-            "tuple unpacking of DenseSubgraphResult is deprecated; use "
-            "result.vertices and result.density instead (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        yield self.vertices
-        yield self.density
 
     # -- versioned wire encoding ----------------------------------------
 

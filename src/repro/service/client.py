@@ -64,7 +64,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-import warnings
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import InvalidParameterError, ServiceUnavailable
@@ -216,10 +215,6 @@ class ServiceClient:
     ``repro/service-v1`` envelope.  Construction is cheap and the client
     is stateless between calls, so sharing one across threads is fine.
     """
-
-    # class-level so the DeprecationWarning on bare rpc() fires once per
-    # process, not once per client (mirrors the options= migration)
-    _rpc_deprecation_warned = False
 
     def __init__(
         self,
@@ -494,23 +489,9 @@ class ServiceClient:
         For ops this client has no typed helper for (or fields the
         helpers do not model).  Connection-error retries follow the
         idempotency rule by default — everything retries except
-        ``update`` — and can be forced either way explicitly.
-
-        .. deprecated:: the bare-``dict`` return is deprecated; ``rpc``
-           now returns a :class:`ServiceOutcome` (a ``dict`` subclass,
-           so every existing access pattern keeps working) and warns
-           once per process.  Prefer the typed helpers.
+        ``update`` — and can be forced either way explicitly.  Returns a
+        :class:`ServiceOutcome`; prefer the typed helpers where one exists.
         """
-        if not ServiceClient._rpc_deprecation_warned:
-            ServiceClient._rpc_deprecation_warned = True
-            warnings.warn(
-                "ServiceClient.rpc() now returns a ServiceOutcome (a dict "
-                "subclass); the bare-dict contract is deprecated — use the "
-                "typed helpers (query/build/profile/stats/update) or the "
-                "outcome properties",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         if retry_connection_errors is None:
             retry_connection_errors = op != "update"
         return ServiceOutcome(self._rpc(

@@ -6,9 +6,9 @@ and passes these keywords.
 """
 
 import inspect
+import re
 import warnings
-
-import pytest
+from pathlib import Path
 
 import repro
 
@@ -19,7 +19,6 @@ EXPECTED_ALL = sorted([
     "SCTPath",
     "SCTPathView",
     "DenseSubgraphResult",
-    "DensestSubgraphResult",
     "RESULT_SCHEMA",
     "densest_subgraph",
     "sctl",
@@ -73,27 +72,23 @@ EXPECTED_ALL = sorted([
 EXPECTED_SIGNATURES = {
     "densest_subgraph": (
         "graph", "k", "method", "iterations", "index", "sample_size",
-        "seed", "recorder", "budget", "checkpoint", "resume", "parallel",
-        "options",
+        "seed", "options",
     ),
     "sctl": (
         "index", "k", "iterations", "warm_start", "paths",
-        "track_convergence", "recorder", "budget", "checkpoint", "resume",
-        "parallel", "options",
+        "track_convergence", "options",
     ),
     "sctl_star": (
         "index", "k", "iterations", "warm_start", "graph", "use_reductions",
-        "use_batch", "collect_stats", "paths", "algorithm_name", "recorder",
-        "budget", "checkpoint", "resume", "parallel", "options",
+        "use_batch", "collect_stats", "paths", "algorithm_name", "options",
     ),
     "sctl_star_sample": (
         "index", "k", "sample_size", "iterations", "seed", "use_reduction",
-        "paths", "recorder", "budget", "parallel", "options",
+        "paths", "options",
     ),
     "sctl_star_exact": (
         "graph", "k", "index", "sample_size", "iterations", "seed",
-        "max_rounds", "recorder", "budget", "checkpoint", "resume",
-        "parallel", "options",
+        "max_rounds", "options",
     ),
     "kcl": ("graph", "k", "iterations", "view", "options"),
     "kcl_sample": (
@@ -132,10 +127,23 @@ def test_entry_point_signatures():
 
 def test_build_signature():
     actual = tuple(inspect.signature(repro.SCTIndex.build).parameters)
-    assert actual == (
-        "graph", "threshold", "view", "recorder", "budget", "checkpoint",
-        "resume", "parallel", "options",
-    )
+    assert actual == ("graph", "threshold", "view", "options")
+
+
+# regexes, not tomllib, which only exists from Python 3.11 on;
+# CITATION.cff's ``cff-version`` is the schema version, not ours
+VERSION_DECLARATIONS = {
+    "pyproject.toml": r'^version\s*=\s*"([^"]+)"',
+    "setup.py": r'^\s*version\s*=\s*"([^"]+)"',
+    "CITATION.cff": r"^version:\s*(\S+)",
+}
+
+
+def test_version_declarations_agree():
+    root = Path(__file__).resolve().parents[1]
+    for name, pattern in VERSION_DECLARATIONS.items():
+        found = re.findall(pattern, (root / name).read_text(), re.MULTILINE)
+        assert found == [repro.__version__], f"{name}: {found}"
 
 
 def test_run_options_fields():
@@ -229,37 +237,8 @@ def test_typed_helpers_return_outcomes():
 
 
 # ---------------------------------------------------------------------------
-# Deprecation-warning surface: the legacy per-knob keywords warn exactly
-# once, name the options= replacement, and the new spellings stay silent.
+# options= is the one spelling of the run knobs, and it stays silent.
 # ---------------------------------------------------------------------------
-
-LEGACY_KNOB_VALUES = {
-    "recorder": lambda: repro.MetricsRecorder(),
-    "budget": lambda: repro.RunBudget(wall_seconds=60.0),
-    "checkpoint": lambda: "some-dir",
-    "resume": lambda: True,
-    "parallel": lambda: 2,
-}
-
-
-@pytest.mark.parametrize("knob", sorted(LEGACY_KNOB_VALUES))
-def test_legacy_kwarg_warns_and_names_replacement(knob):
-    with pytest.warns(DeprecationWarning) as caught:
-        repro.RunOptions.resolve(None, **{knob: LEGACY_KNOB_VALUES[knob]()})
-    messages = [str(w.message) for w in caught
-                if w.category is DeprecationWarning]
-    assert len(messages) == 1
-    assert knob in messages[0]
-    assert f"options=RunOptions({knob}=...)" in messages[0]
-
-
-def test_legacy_kwarg_at_default_does_not_warn():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        repro.RunOptions.resolve(
-            None, recorder=repro.NULL_RECORDER, budget=repro.NULL_BUDGET,
-            checkpoint=None, resume=False, parallel=None,
-        )
 
 
 def test_options_spelling_does_not_warn():
@@ -272,13 +251,3 @@ def test_options_spelling_does_not_warn():
         warnings.simplefilter("error", DeprecationWarning)
         resolved = repro.RunOptions.resolve(opts)
     assert resolved == opts
-
-
-def test_facade_legacy_kwarg_warns_through_entry_point():
-    from repro.graph import relaxed_caveman_graph
-
-    graph = relaxed_caveman_graph(3, 5, 0.1, seed=1)
-    with pytest.warns(DeprecationWarning, match="options=RunOptions"):
-        repro.densest_subgraph(
-            graph, 3, method="sctl", recorder=repro.MetricsRecorder()
-        )

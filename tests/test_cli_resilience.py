@@ -5,9 +5,9 @@ import pytest
 import repro.cli as cli
 from repro.cli import EXIT_EXHAUSTED, EXIT_PARTIAL, main
 from repro.core import SCTIndex
-from repro.core.density import PartialResult
 from repro.errors import TimeoutExceeded
 from repro.graph import gnp_graph, write_edge_list
+from repro.results import PartialResult
 
 
 @pytest.fixture

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from repro import SCTIndex, densest_subgraph
-from repro.core import DensestSubgraphResult
 from repro.errors import InvalidParameterError
 from repro.graph import Graph
+from repro.results import DenseSubgraphResult
 
 
 ALL_METHODS = [
@@ -30,7 +30,7 @@ class TestFacade:
         result = densest_subgraph(
             k6_plus_k4, 3, method=method, iterations=8, sample_size=200
         )
-        assert isinstance(result, DensestSubgraphResult)
+        assert isinstance(result, DenseSubgraphResult)
         assert result.k == 3
         # all algorithms find the K6 on this easy instance, except CoreApp
         # which may return a superset; density is at least the 1/k bound
@@ -59,19 +59,19 @@ class TestFacade:
 
 class TestResultType:
     def test_density_fraction_exact(self):
-        result = DensestSubgraphResult(
+        result = DenseSubgraphResult(
             vertices=[1, 2, 3], clique_count=2, k=3, algorithm="x"
         )
         assert result.density_fraction == Fraction(2, 3)
         assert result.size == 3
 
     def test_empty_density_zero(self):
-        result = DensestSubgraphResult(vertices=[], clique_count=0, k=3, algorithm="x")
+        result = DenseSubgraphResult(vertices=[], clique_count=0, k=3, algorithm="x")
         assert result.density_fraction == Fraction(0)
         assert result.density == 0.0
 
     def test_approximation_ratio(self):
-        result = DensestSubgraphResult(
+        result = DenseSubgraphResult(
             vertices=[0, 1], clique_count=1, k=3, algorithm="x"
         )
         assert result.approximation_ratio(Fraction(1, 2)) == pytest.approx(1.0)
@@ -79,7 +79,7 @@ class TestResultType:
         assert result.approximation_ratio(Fraction(0)) == float("inf")
 
     def test_summary_mentions_key_facts(self):
-        result = DensestSubgraphResult(
+        result = DenseSubgraphResult(
             vertices=[0], clique_count=0, k=4, algorithm="SCTL*", exact=True
         )
         text = result.summary()

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro import MetricsRecorder
+from repro import MetricsRecorder, RunOptions
 from repro.core import SCTIndex, sctl_star
 from repro.graph import relaxed_caveman_graph
 from repro.obs import (
@@ -182,8 +182,8 @@ class TestPipelineHistograms:
         graph = relaxed_caveman_graph(6, 6, 0.1, seed=3)
         sink = io.StringIO()
         rec = MetricsRecorder(sink=sink)
-        index = SCTIndex.build(graph, recorder=rec)
-        sctl_star(index, 3, iterations=3, recorder=rec)
+        index = SCTIndex.build(graph, options=RunOptions(recorder=rec))
+        sctl_star(index, 3, iterations=3, options=RunOptions(recorder=rec))
         assert rec.histograms["stage/index_build"].count == 1
         refine = rec.histograms["stage/refine_round"]
         assert refine.count == 3
@@ -199,8 +199,11 @@ class TestPipelineHistograms:
         graph = relaxed_caveman_graph(8, 6, 0.1, seed=7)
         index = SCTIndex.build(graph)
         serial, parallel = MetricsRecorder(), MetricsRecorder()
-        sctl_star(index, 3, iterations=4, recorder=serial)
-        sctl_star(index, 3, iterations=4, recorder=parallel, parallel=4)
+        sctl_star(index, 3, iterations=4, options=RunOptions(recorder=serial))
+        sctl_star(
+            index, 3, iterations=4,
+            options=RunOptions(recorder=parallel, parallel=4),
+        )
         # paths-per-round is a deterministic distribution (path parity),
         # so the merged worker snapshots must land in identical buckets
         key = "refine/paths_per_round"

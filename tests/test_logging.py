@@ -2,6 +2,7 @@
 
 import logging
 
+from repro import RunOptions
 from repro.core import SCTIndex, sctl_star, sctl_star_exact
 from repro.graph import gnp_graph
 
@@ -41,8 +42,10 @@ class TestDebugLogging:
 
         g = gnp_graph(12, 0.45, seed=3)
         recorder = MetricsRecorder()
-        index = SCTIndex.build(g, recorder=recorder)
-        sctl_star(index, 3, iterations=2, recorder=recorder)
+        index = SCTIndex.build(g, options=RunOptions(recorder=recorder))
+        sctl_star(
+            index, 3, iterations=2, options=RunOptions(recorder=recorder)
+        )
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ""

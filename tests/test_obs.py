@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro import densest_subgraph
+from repro import RunOptions, densest_subgraph
 from repro.core import (
     SCTIndex,
     batch_update,
@@ -181,7 +181,7 @@ class TestTraceSink:
 class TestIndexBuildMetrics:
     def test_build_counters_match_index(self, graph):
         rec = MetricsRecorder()
-        index = SCTIndex.build(graph, recorder=rec)
+        index = SCTIndex.build(graph, options=RunOptions(recorder=rec))
         assert rec.counters["build/nodes"] == (
             rec.counters["build/holds"] + rec.counters["build/pivots"]
         )
@@ -195,13 +195,14 @@ class TestIndexBuildMetrics:
         index = SCTIndex.build(graph)
         rec = MetricsRecorder()
         expected = sum(1 for _ in index.iter_paths())
-        assert sum(1 for _ in index.iter_paths(recorder=rec)) == expected
+        walked = index.iter_paths(options=RunOptions(recorder=rec))
+        assert sum(1 for _ in walked) == expected
         assert rec.counters["paths/yielded"] == expected
 
     def test_iter_paths_flushes_on_early_close(self, graph):
         index = SCTIndex.build(graph)
         rec = MetricsRecorder()
-        it = index.iter_paths(recorder=rec)
+        it = index.iter_paths(options=RunOptions(recorder=rec))
         next(it)
         it.close()
         assert rec.counters["paths/yielded"] == 1
@@ -211,7 +212,7 @@ class TestPipelineMetrics:
     def test_sctl_star_iteration_metrics(self, graph):
         index = SCTIndex.build(graph)
         rec = MetricsRecorder()
-        sctl_star(index, 3, iterations=4, recorder=rec)
+        sctl_star(index, 3, iterations=4, options=RunOptions(recorder=rec))
         assert rec.counters["refine/iterations"] == 4
         assert rec.counters["refine/cliques_processed"] > 0
         assert rec.counters["refine/weight_updates"] > 0
@@ -223,7 +224,7 @@ class TestPipelineMetrics:
     def test_sctl_iteration_metrics(self, graph):
         index = SCTIndex.build(graph)
         rec = MetricsRecorder()
-        sctl(index, 3, iterations=3, recorder=rec)
+        sctl(index, 3, iterations=3, options=RunOptions(recorder=rec))
         assert rec.counters["refine/iterations"] == 3
         assert (
             rec.counters["refine/weight_updates"]
@@ -243,7 +244,7 @@ class TestPipelineMetrics:
         index = SCTIndex.build(graph)
         rec = MetricsRecorder()
         sctl_star_sample(index, 3, sample_size=200, iterations=3,
-                         seed=0, recorder=rec)
+                         seed=0, options=RunOptions(recorder=rec))
         assert rec.counters["sample/cliques_drawn"] > 0
         assert "sample/sample_density" in rec.gauges
         totals = rec.span_totals()
@@ -254,7 +255,7 @@ class TestPipelineMetrics:
         sink = io.StringIO()
         rec = MetricsRecorder(sink=sink)
         result = sctl_star_exact(graph, 3, sample_size=200, iterations=4,
-                                 seed=0, recorder=rec)
+                                 seed=0, options=RunOptions(recorder=rec))
         # the acceptance criterion: build, reduction, refinement and
         # flow-round phases all present with non-zero counters
         paths = set(rec.iter_span_paths())
@@ -273,7 +274,10 @@ class TestPipelineMetrics:
 
     def test_facade_threads_recorder(self, graph):
         rec = MetricsRecorder()
-        densest_subgraph(graph, 3, method="sctl*", iterations=3, recorder=rec)
+        densest_subgraph(
+            graph, 3, method="sctl*", iterations=3,
+            options=RunOptions(recorder=rec),
+        )
         assert rec.counters["build/nodes"] > 0
         assert rec.counters["refine/iterations"] == 3
 
@@ -290,14 +294,16 @@ class TestRecorderParity:
             kwargs.update(sample_size=200, seed=0)
         plain = densest_subgraph(graph, 3, method=method, **kwargs)
         recorded = densest_subgraph(
-            graph, 3, method=method, recorder=MetricsRecorder(), **kwargs
+            graph, 3, method=method,
+            options=RunOptions(recorder=MetricsRecorder()), **kwargs
         )
         assert plain == recorded
 
     def test_null_recorder_equivalent_to_omitting(self, graph):
         a = densest_subgraph(graph, 3, method="sctl*", iterations=3)
         b = densest_subgraph(
-            graph, 3, method="sctl*", iterations=3, recorder=NULL_RECORDER
+            graph, 3, method="sctl*", iterations=3,
+            options=RunOptions(recorder=NULL_RECORDER),
         )
         assert a == b
 
@@ -305,8 +311,8 @@ class TestRecorderParity:
 class TestSilentByDefault:
     def test_metrics_recorder_never_prints(self, graph, capsys):
         rec = MetricsRecorder()  # no sink: aggregates only
-        index = SCTIndex.build(graph, recorder=rec)
-        sctl_star(index, 3, iterations=2, recorder=rec)
+        index = SCTIndex.build(graph, options=RunOptions(recorder=rec))
+        sctl_star(index, 3, iterations=2, options=RunOptions(recorder=rec))
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ""

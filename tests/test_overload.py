@@ -639,25 +639,3 @@ class TestClientLifecycle:
         with ServiceClient("http://127.0.0.1:9") as client:
             assert client._closed is False
         assert client._closed is True
-
-    def test_rpc_deprecation_warns_exactly_once(self):
-        httpd, service = make_server(ServiceConfig(port=0))
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-        thread.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{httpd.server_address[1]}", timeout_s=60
-            )
-            ServiceClient._rpc_deprecation_warned = False
-            with pytest.warns(DeprecationWarning, match="ServiceOutcome"):
-                out = client.rpc("query", dataset=DATASET, k=4)
-            assert out.ok and out.code == 0
-            import warnings as warnings_mod
-
-            with warnings_mod.catch_warnings():
-                warnings_mod.simplefilter("error", DeprecationWarning)
-                assert client.rpc("query", dataset=DATASET, k=4).ok
-        finally:
-            ServiceClient._rpc_deprecation_warned = True
-            httpd.shutdown()
-            httpd.server_close()

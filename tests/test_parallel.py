@@ -72,34 +72,36 @@ class TestParallelBuild:
     def test_build_byte_identical(self, graphs, workers):
         for graph in graphs.values():
             serial = SCTIndex.build(graph)
-            parallel = SCTIndex.build(graph, parallel=workers)
+            parallel = SCTIndex.build(
+                graph, options=RunOptions(parallel=workers)
+            )
             assert _serialized(serial) == _serialized(parallel)
 
     def test_build_with_threshold_byte_identical(self, graphs):
         graph = graphs["caveman"]
         serial = SCTIndex.build(graph, threshold=4)
-        parallel = SCTIndex.build(graph, threshold=4, parallel=3)
+        parallel = SCTIndex.build(
+            graph, threshold=4, options=RunOptions(parallel=3)
+        )
         assert _serialized(serial) == _serialized(parallel)
 
     def test_more_workers_than_roots(self):
         graph = Graph.complete(4)
         serial = SCTIndex.build(graph)
-        parallel = SCTIndex.build(graph, parallel=4)
+        parallel = SCTIndex.build(graph, options=RunOptions(parallel=4))
         assert _serialized(serial) == _serialized(parallel)
 
     def test_empty_graph(self):
         graph = Graph(3, [])
-        assert _serialized(SCTIndex.build(graph, parallel=2)) == _serialized(
-            SCTIndex.build(graph)
-        )
+        sharded = SCTIndex.build(graph, options=RunOptions(parallel=2))
+        assert _serialized(sharded) == _serialized(SCTIndex.build(graph))
 
     def test_build_accepts_config(self, graphs):
         cfg = ParallelConfig(workers=2, chunks_per_worker=2,
                              max_tasks_per_child=4)
         graph = graphs["gnp"]
-        assert _serialized(SCTIndex.build(graph, parallel=cfg)) == _serialized(
-            SCTIndex.build(graph)
-        )
+        sharded = SCTIndex.build(graph, options=RunOptions(parallel=cfg))
+        assert _serialized(sharded) == _serialized(SCTIndex.build(graph))
 
 
 class TestParallelSweeps:
@@ -111,7 +113,9 @@ class TestParallelSweeps:
             serial = [(p.holds, p.pivots) for p in index.iter_paths(k)]
             sharded = [
                 (p.holds, p.pivots)
-                for p in index.iter_paths(k, parallel=workers)
+                for p in index.iter_paths(
+                    k, options=RunOptions(parallel=workers)
+                )
             ]
             assert serial == sharded
 
@@ -150,7 +154,8 @@ class TestParallelRefinement:
                 ):
                     serial = fn(index, k, iterations=4, **kwargs)
                     sharded = fn(
-                        index, k, iterations=4, parallel=workers, **kwargs
+                        index, k, iterations=4,
+                        options=RunOptions(parallel=workers), **kwargs
                     )
                     assert serial.vertices == sharded.vertices
                     assert serial.clique_count == sharded.clique_count
@@ -161,7 +166,7 @@ class TestParallelRefinement:
         index = SCTIndex.build(graphs["caveman"])
         serial = sctl_star_sample(index, 3, sample_size=40, seed=3)
         sharded = sctl_star_sample(
-            index, 3, sample_size=40, seed=3, parallel=2
+            index, 3, sample_size=40, seed=3, options=RunOptions(parallel=2)
         )
         assert serial.vertices == sharded.vertices
         assert serial.clique_count == sharded.clique_count
@@ -170,7 +175,8 @@ class TestParallelRefinement:
         graph = graphs["k6+k4"]
         serial = sctl_star_exact(graph, 3, sample_size=50, iterations=3)
         sharded = sctl_star_exact(
-            graph, 3, sample_size=50, iterations=3, parallel=2
+            graph, 3, sample_size=50, iterations=3,
+            options=RunOptions(parallel=2),
         )
         assert serial.vertices == sharded.vertices
         assert serial.exact and sharded.exact
@@ -184,14 +190,17 @@ class TestParallelRefinement:
         serial = densest_subgraph(graph, 3, method=method, iterations=3,
                                   sample_size=40)
         sharded = densest_subgraph(graph, 3, method=method, iterations=3,
-                                   sample_size=40, parallel=2)
+                                   sample_size=40,
+                                   options=RunOptions(parallel=2))
         assert serial.vertices == sharded.vertices
         assert serial.clique_count == sharded.clique_count
 
     def test_workers_one_uses_no_pool(self, graphs):
         # ParallelConfig(workers=1) is documented as literally-serial
         index = SCTIndex.build(graphs["caveman"])
-        result = sctl_star(index, 3, iterations=2, parallel=1)
+        result = sctl_star(
+            index, 3, iterations=2, options=RunOptions(parallel=1)
+        )
         assert result.vertices == sctl_star(index, 3, iterations=2).vertices
 
 
@@ -199,11 +208,12 @@ class TestParallelBudget:
     def test_exhausted_before_refinement_is_well_formed(self, graphs):
         index = SCTIndex.build(graphs["caveman"])
         serial = sctl_star(
-            index, 3, iterations=5, budget=RunBudget(wall_seconds=0),
+            index, 3, iterations=5,
+            options=RunOptions(budget=RunBudget(wall_seconds=0)),
         )
         sharded = sctl_star(
             index, 3, iterations=5,
-            budget=RunBudget(wall_seconds=0), parallel=2,
+            options=RunOptions(budget=RunBudget(wall_seconds=0), parallel=2),
         )
         for result in (serial, sharded):
             assert result.is_partial
@@ -217,11 +227,14 @@ class TestParallelBudget:
     def test_partial_matches_serial_partial(self, graphs):
         index = SCTIndex.build(graphs["caveman"])
         serial = sctl_star(
-            index, 3, iterations=5, budget=RunBudget(max_iterations=2),
+            index, 3, iterations=5,
+            options=RunOptions(budget=RunBudget(max_iterations=2)),
         )
         sharded = sctl_star(
-            index, 3, iterations=5, budget=RunBudget(max_iterations=2),
-            parallel=2,
+            index, 3, iterations=5,
+            options=RunOptions(
+                budget=RunBudget(max_iterations=2), parallel=2
+            ),
         )
         assert serial.is_partial and sharded.is_partial
         assert serial.valid and sharded.valid
@@ -232,7 +245,7 @@ class TestParallelBudget:
     def test_facade_build_exhaustion_under_parallel(self, graphs):
         result = densest_subgraph(
             graphs["caveman"], 3, method="sctl*",
-            budget=RunBudget(wall_seconds=0), parallel=2,
+            options=RunOptions(budget=RunBudget(wall_seconds=0), parallel=2),
         )
         assert result.is_partial
         assert not result.valid
@@ -252,11 +265,17 @@ class TestCheckpointInterop:
 
         budget = RunBudget(wall_seconds=1.5, clock=clock)
         try:
-            SCTIndex.build(graph, budget=budget, checkpoint=str(ckpt_dir))
+            SCTIndex.build(
+                graph,
+                options=RunOptions(budget=budget, checkpoint=str(ckpt_dir)),
+            )
         except BudgetExhausted:
             pass
         resumed = SCTIndex.build(
-            graph, checkpoint=str(ckpt_dir), resume=True, parallel=2
+            graph,
+            options=RunOptions(
+                checkpoint=str(ckpt_dir), resume=True, parallel=2
+            ),
         )
         assert _serialized(resumed) == _serialized(clean)
 
@@ -266,12 +285,15 @@ class TestCheckpointInterop:
         ckpt_dir = tmp_path / "ck"
         with pytest.raises(BudgetExhausted):
             SCTIndex.build(
-                graph, budget=RunBudget(wall_seconds=0),
-                checkpoint=str(ckpt_dir), parallel=2,
+                graph,
+                options=RunOptions(
+                    budget=RunBudget(wall_seconds=0),
+                    checkpoint=str(ckpt_dir), parallel=2,
+                ),
             )
         assert Checkpointer(str(ckpt_dir)).load("sct-build") is not None
         resumed = SCTIndex.build(
-            graph, checkpoint=str(ckpt_dir), resume=True
+            graph, options=RunOptions(checkpoint=str(ckpt_dir), resume=True)
         )
         assert _serialized(resumed) == _serialized(clean)
 
@@ -293,8 +315,13 @@ class TestObservabilityComposition:
         graph = graphs["caveman"]
         index = SCTIndex.build(graph)
         rec_serial, rec_parallel = MetricsRecorder(), MetricsRecorder()
-        sctl_star(index, 3, iterations=3, recorder=rec_serial)
-        sctl_star(index, 3, iterations=3, recorder=rec_parallel, parallel=2)
+        sctl_star(
+            index, 3, iterations=3, options=RunOptions(recorder=rec_serial)
+        )
+        sctl_star(
+            index, 3, iterations=3,
+            options=RunOptions(recorder=rec_parallel, parallel=2),
+        )
         for key in (
             "refine/iterations",
             "refine/paths_swept",

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import RunOptions
 from repro.core import SCTIndex, sctl_star
-from repro.core.density import PartialResult
 from repro.graph import relaxed_caveman_graph
 from repro.obs import MetricsRecorder
 from repro.resilience import (
@@ -14,6 +14,7 @@ from repro.resilience import (
     RunBudget,
 )
 from repro.resilience.chaos import run_sweep
+from repro.results import PartialResult
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +103,8 @@ class TestFaultPlan:
         budget = RunBudget()
         plan = FaultPlan.cancelling("refine/iteration/2", budget)
         result = sctl_star(
-            index, 3, iterations=5, recorder=plan.recorder(), budget=budget
+            index, 3, iterations=5,
+            options=RunOptions(recorder=plan.recorder(), budget=budget),
         )
         assert plan.triggered
         assert isinstance(result, PartialResult)
@@ -113,7 +115,10 @@ class TestFaultPlan:
     def test_delay_plan_fires_without_changing_result(self, index):
         plan = FaultPlan.delaying("refine/iteration/1", seconds=0.0)
         clean = sctl_star(index, 3, iterations=3)
-        delayed = sctl_star(index, 3, iterations=3, recorder=plan.recorder())
+        delayed = sctl_star(
+            index, 3, iterations=3,
+            options=RunOptions(recorder=plan.recorder()),
+        )
         assert plan.triggered
         assert delayed.vertices == clean.vertices
         assert delayed.stats["weights"] == clean.stats["weights"]

@@ -11,12 +11,12 @@ import itertools
 
 import pytest
 
-from repro import densest_subgraph
+from repro import RunOptions, densest_subgraph
 from repro.core import SCTIndex, sctl, sctl_star, sctl_star_exact, sctl_star_sample
-from repro.core.density import PartialResult
 from repro.errors import BudgetExhausted, CheckpointError
 from repro.graph import relaxed_caveman_graph
 from repro.resilience import Checkpointer, RunBudget
+from repro.results import PartialResult
 
 
 def counting_clock(start: int = 0):
@@ -40,7 +40,8 @@ class TestGenerousBudgetIsIdentical:
     def test_sctl_star(self, index):
         plain = sctl_star(index, 4, iterations=6)
         budgeted = sctl_star(
-            index, 4, iterations=6, budget=RunBudget(wall_seconds=1e9)
+            index, 4, iterations=6,
+            options=RunOptions(budget=RunBudget(wall_seconds=1e9)),
         )
         assert type(budgeted) is type(plain)
         assert budgeted.vertices == plain.vertices
@@ -49,14 +50,18 @@ class TestGenerousBudgetIsIdentical:
 
     def test_sctl(self, index):
         plain = sctl(index, 4, iterations=5)
-        budgeted = sctl(index, 4, iterations=5, budget=RunBudget(wall_seconds=1e9))
+        budgeted = sctl(
+            index, 4, iterations=5,
+            options=RunOptions(budget=RunBudget(wall_seconds=1e9)),
+        )
         assert budgeted.vertices == plain.vertices
         assert budgeted.stats["weights"] == plain.stats["weights"]
 
     def test_sample(self, index):
         plain = sctl_star_sample(index, 4, sample_size=300, seed=3)
         budgeted = sctl_star_sample(
-            index, 4, sample_size=300, seed=3, budget=RunBudget(wall_seconds=1e9)
+            index, 4, sample_size=300, seed=3,
+            options=RunOptions(budget=RunBudget(wall_seconds=1e9)),
         )
         assert budgeted.vertices == plain.vertices
         assert budgeted.clique_count == plain.clique_count
@@ -65,7 +70,7 @@ class TestGenerousBudgetIsIdentical:
         plain = sctl_star_exact(graph, 4, index=index, sample_size=300)
         budgeted = sctl_star_exact(
             graph, 4, index=index, sample_size=300,
-            budget=RunBudget(wall_seconds=1e9),
+            options=RunOptions(budget=RunBudget(wall_seconds=1e9)),
         )
         assert budgeted.exact and plain.exact
         assert budgeted.vertices == plain.vertices
@@ -73,7 +78,9 @@ class TestGenerousBudgetIsIdentical:
 
     def test_build(self, graph, tmp_path):
         plain = SCTIndex.build(graph)
-        budgeted = SCTIndex.build(graph, budget=RunBudget(wall_seconds=1e9))
+        budgeted = SCTIndex.build(
+            graph, options=RunOptions(budget=RunBudget(wall_seconds=1e9))
+        )
         a, b = tmp_path / "a.sct", tmp_path / "b.sct"
         plain.save(a)
         budgeted.save(b)
@@ -91,14 +98,19 @@ class TestSctlStarResumeParity:
 
         part = sctl_star(
             index, 4, iterations=total,
-            budget=RunBudget(max_iterations=stop_after), checkpoint=ckpt,
+            options=RunOptions(
+                budget=RunBudget(max_iterations=stop_after), checkpoint=ckpt
+            ),
         )
         assert isinstance(part, PartialResult)
         assert part.valid
         assert part.iterations == stop_after
         assert part.reason == "max_iterations"
 
-        resumed = sctl_star(index, 4, iterations=total, checkpoint=ckpt, resume=True)
+        resumed = sctl_star(
+            index, 4, iterations=total,
+            options=RunOptions(checkpoint=ckpt, resume=True),
+        )
         assert not resumed.is_partial
         assert resumed.stats["weights"] == full.stats["weights"]
         assert resumed.density_fraction == full.density_fraction
@@ -114,14 +126,22 @@ class TestSctlStarResumeParity:
         ckpt = Checkpointer(tmp_path, interval_seconds=0)
         sctl_star(
             index, 4, iterations=total,
-            budget=RunBudget(max_iterations=2), checkpoint=ckpt,
+            options=RunOptions(
+                budget=RunBudget(max_iterations=2), checkpoint=ckpt
+            ),
         )
         second = sctl_star(
             index, 4, iterations=total,
-            budget=RunBudget(max_iterations=2), checkpoint=ckpt, resume=True,
+            options=RunOptions(
+                budget=RunBudget(max_iterations=2), checkpoint=ckpt,
+                resume=True,
+            ),
         )
         assert second.is_partial and second.iterations == 4
-        final = sctl_star(index, 4, iterations=total, checkpoint=ckpt, resume=True)
+        final = sctl_star(
+            index, 4, iterations=total,
+            options=RunOptions(checkpoint=ckpt, resume=True),
+        )
         assert final.stats["weights"] == full.stats["weights"]
         assert final.density_fraction == full.density_fraction
 
@@ -131,7 +151,9 @@ class TestSctlStarResumeParity:
         # the counting clock exhausts the deadline partway through a sweep
         # (each sweep burns ~41 polls: 40 paths + the round boundary)
         budget = RunBudget(wall_seconds=150, clock=counting_clock())
-        part = sctl_star(index, 4, iterations=10, budget=budget)
+        part = sctl_star(
+            index, 4, iterations=10, options=RunOptions(budget=budget)
+        )
         assert part.is_partial and part.valid
         completed = part.iterations
         assert 0 < completed < 10
@@ -144,10 +166,15 @@ class TestSctlStarResumeParity:
         ckpt = Checkpointer(tmp_path, interval_seconds=0)
         sctl_star(
             index, 4, iterations=6,
-            budget=RunBudget(max_iterations=2), checkpoint=ckpt,
+            options=RunOptions(
+                budget=RunBudget(max_iterations=2), checkpoint=ckpt
+            ),
         )
         with pytest.raises(CheckpointError):
-            sctl_star(index, 5, iterations=6, checkpoint=ckpt, resume=True)
+            sctl_star(
+                index, 5, iterations=6,
+                options=RunOptions(checkpoint=ckpt, resume=True),
+            )
 
 
 class TestSctlResumeParity:
@@ -158,10 +185,15 @@ class TestSctlResumeParity:
         ckpt = Checkpointer(tmp_path / str(stop_after), interval_seconds=0)
         part = sctl(
             index, 4, iterations=total,
-            budget=RunBudget(max_iterations=stop_after), checkpoint=ckpt,
+            options=RunOptions(
+                budget=RunBudget(max_iterations=stop_after), checkpoint=ckpt
+            ),
         )
         assert part.is_partial and part.valid
-        resumed = sctl(index, 4, iterations=total, checkpoint=ckpt, resume=True)
+        resumed = sctl(
+            index, 4, iterations=total,
+            options=RunOptions(checkpoint=ckpt, resume=True),
+        )
         assert resumed.stats["weights"] == full.stats["weights"]
         assert resumed.density_fraction == full.density_fraction
         assert resumed.upper_bound == full.upper_bound
@@ -174,10 +206,14 @@ class TestIndexBuildResume:
         # a counting clock trips the deadline after a few per-root polls
         budget = RunBudget(wall_seconds=5, clock=counting_clock())
         with pytest.raises(BudgetExhausted):
-            SCTIndex.build(graph, budget=budget, checkpoint=ckpt)
+            SCTIndex.build(
+                graph, options=RunOptions(budget=budget, checkpoint=ckpt)
+            )
         assert ckpt.has("sct-build")
 
-        resumed = SCTIndex.build(graph, checkpoint=ckpt, resume=True)
+        resumed = SCTIndex.build(
+            graph, options=RunOptions(checkpoint=ckpt, resume=True)
+        )
         a, b = tmp_path / "ref.sct", tmp_path / "res.sct"
         reference.save(a)
         resumed.save(b)
@@ -189,9 +225,13 @@ class TestIndexBuildResume:
         ckpt = Checkpointer(tmp_path, interval_seconds=0)
         budget = RunBudget(wall_seconds=3, clock=counting_clock())
         with pytest.raises(BudgetExhausted):
-            SCTIndex.build(graph, budget=budget, checkpoint=ckpt)
+            SCTIndex.build(
+                graph, options=RunOptions(budget=budget, checkpoint=ckpt)
+            )
         with pytest.raises(CheckpointError):
-            SCTIndex.build(other, checkpoint=ckpt, resume=True)
+            SCTIndex.build(
+                other, options=RunOptions(checkpoint=ckpt, resume=True)
+            )
 
 
 class TestExactDegradation:
@@ -199,7 +239,8 @@ class TestExactDegradation:
         baseline = sctl_star_exact(graph, 4, index=index, sample_size=300)
         budget = RunBudget(wall_seconds=40, clock=counting_clock())
         part = sctl_star_exact(
-            graph, 4, index=index, sample_size=300, budget=budget
+            graph, 4, index=index, sample_size=300,
+            options=RunOptions(budget=budget),
         )
         assert part.is_partial
         assert not part.exact
@@ -212,7 +253,9 @@ class TestExactDegradation:
     def test_facade_partial_flow(self, graph):
         result = densest_subgraph(
             graph, 4, method="sctl*",
-            budget=RunBudget(wall_seconds=1, clock=counting_clock()),
+            options=RunOptions(
+                budget=RunBudget(wall_seconds=1, clock=counting_clock())
+            ),
         )
         assert result.is_partial
         assert not result.valid  # exhausted inside the index build
@@ -223,11 +266,14 @@ class TestExactDegradation:
         ckpt = Checkpointer(tmp_path, interval_seconds=0)
         part = densest_subgraph(
             graph, 4, method="sctl*",
-            budget=RunBudget(max_iterations=3), checkpoint=ckpt,
+            options=RunOptions(
+                budget=RunBudget(max_iterations=3), checkpoint=ckpt
+            ),
         )
         assert part.is_partial and part.valid
         resumed = densest_subgraph(
-            graph, 4, method="sctl*", checkpoint=ckpt, resume=True
+            graph, 4, method="sctl*",
+            options=RunOptions(checkpoint=ckpt, resume=True),
         )
         assert resumed.density_fraction == full.density_fraction
         assert resumed.vertices == full.vertices

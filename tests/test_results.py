@@ -31,10 +31,6 @@ def make_result(**overrides):
 
 
 class TestContract:
-    def test_legacy_name_is_the_same_class(self):
-        assert repro.DensestSubgraphResult is repro.DenseSubgraphResult
-        assert repro.DenseSubgraphResult is DenseSubgraphResult
-
     def test_frozen(self):
         result = make_result()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -58,13 +54,6 @@ class TestContract:
         result = make_result(vertices=[1, 2, 3], clique_count=1)
         assert result.density_fraction.numerator == 1
         assert result.density_fraction.denominator == 3
-
-    def test_tuple_unpacking_warns_once_per_unpack(self):
-        result = make_result()
-        with pytest.warns(DeprecationWarning, match="docs/api.md"):
-            vertices, density = result
-        assert vertices == result.vertices
-        assert density == result.density
 
 
 class TestWireEncoding:

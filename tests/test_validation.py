@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import DensestSubgraphResult, SCTIndex, sctl_star, sctl_star_exact
+from repro.core import SCTIndex, sctl_star, sctl_star_exact
 from repro.core.validation import verify_result
 from repro.graph import Graph, gnp_graph
+from repro.results import DenseSubgraphResult
 
 
 class TestVerifyResult:
@@ -23,7 +24,7 @@ class TestVerifyResult:
         assert not report.optimality_checked
 
     def test_wrong_count_detected(self, small_random):
-        forged = DensestSubgraphResult(
+        forged = DenseSubgraphResult(
             vertices=[0, 1, 2], clique_count=999, k=3, algorithm="forged"
         )
         report = verify_result(small_random, forged)
@@ -31,21 +32,21 @@ class TestVerifyResult:
         assert any("mismatch" in p for p in report.problems)
 
     def test_duplicate_vertices_detected(self):
-        forged = DensestSubgraphResult(
+        forged = DenseSubgraphResult(
             vertices=[0, 0, 1], clique_count=0, k=3, algorithm="forged"
         )
         report = verify_result(Graph.complete(3), forged)
         assert not report.ok
 
     def test_out_of_range_vertices_detected(self):
-        forged = DensestSubgraphResult(
+        forged = DenseSubgraphResult(
             vertices=[0, 99], clique_count=0, k=3, algorithm="forged"
         )
         assert not verify_result(Graph.complete(3), forged).ok
 
     def test_suboptimal_exact_claim_detected(self, k6_plus_k4):
         # claim the K4 is the exact optimum while the K6 exists
-        forged = DensestSubgraphResult(
+        forged = DenseSubgraphResult(
             vertices=[6, 7, 8, 9], clique_count=4, k=3,
             algorithm="forged", exact=True,
         )
@@ -54,7 +55,7 @@ class TestVerifyResult:
         assert any("not optimal" in p for p in report.problems)
 
     def test_empty_with_nonzero_count_detected(self):
-        forged = DensestSubgraphResult(
+        forged = DenseSubgraphResult(
             vertices=[], clique_count=5, k=3, algorithm="forged"
         )
         assert not verify_result(Graph.complete(4), forged).ok
