@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ..cliques.kclist import count_k_cliques, iter_k_cliques, per_vertex_counts
-from ..cliques.ordered_view import OrderedGraphView, build_ordered_view
+from ..cliques.ordered_view import OrderedGraphView, ensure_view
 from ..errors import InvalidParameterError
 from ..flow.densest import count_cliques_inside, exact_densest_from_cliques
 from ..graph.components import connected_components
@@ -102,8 +102,7 @@ def core_app(
     :class:`UserWarning` names any non-default knobs).
     """
     warn_unsupported(RunOptions.resolve(options), "CoreApp")
-    if view is None:
-        view = build_ordered_view(graph)
+    view = ensure_view(graph, view)
     core = psi_core_decomposition(graph, k, view=view)
     k_prime_max = max(core, default=0)
     if k_prime_max == 0:
@@ -136,8 +135,7 @@ def core_exact(
     :class:`UserWarning` names any non-default knobs).
     """
     warn_unsupported(RunOptions.resolve(options), "CoreExact")
-    if view is None:
-        view = build_ordered_view(graph)
+    view = ensure_view(graph, view)
     app = core_app(graph, k, view=view)
     if not app.vertices:
         return empty_result(k, "CoreExact", exact=True)

@@ -19,7 +19,7 @@ import random
 from typing import List, Optional, Tuple
 
 from ..cliques.kclist import count_k_cliques, iter_k_cliques
-from ..cliques.ordered_view import OrderedGraphView, build_ordered_view
+from ..cliques.ordered_view import OrderedGraphView, ensure_view
 from ..errors import InvalidParameterError
 from ..graph.graph import Graph
 from ..options import RunOptions, warn_unsupported
@@ -58,8 +58,7 @@ def kcl(
     if iterations < 1:
         raise InvalidParameterError(f"iterations must be >= 1, got {iterations}")
     warn_unsupported(RunOptions.resolve(options), "KCL")
-    if view is None:
-        view = build_ordered_view(graph)
+    view = ensure_view(graph, view)
     weights = [0] * graph.n
     any_clique = False
     for _ in range(iterations):
@@ -106,8 +105,7 @@ def kcl_sample(
     if iterations < 1:
         raise InvalidParameterError(f"iterations must be >= 1, got {iterations}")
     warn_unsupported(RunOptions.resolve(options), "KCL-Sample")
-    if view is None:
-        view = build_ordered_view(graph)
+    view = ensure_view(graph, view)
     rng = random.Random(seed)
     reservoir: List[Tuple[int, ...]] = []
     seen = 0

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ..cliques.kclist import iter_k_cliques
-from ..cliques.ordered_view import OrderedGraphView, build_ordered_view
+from ..cliques.ordered_view import OrderedGraphView, ensure_view
 from ..errors import InvalidParameterError
 from ..flow.densest import (
     count_cliques_inside,
@@ -74,8 +74,7 @@ def kcl_exact(
             f"initial_iterations must be >= 1, got {initial_iterations}"
         )
     warn_unsupported(RunOptions.resolve(options), "KCL-Exact")
-    if view is None:
-        view = build_ordered_view(graph)
+    view = ensure_view(graph, view)
     cliques: List[Tuple[int, ...]] = list(iter_k_cliques(graph, k, view=view))
     if not cliques:
         return empty_result(k, "KCL-Exact", exact=True)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from ..cliques.kclist import iter_k_cliques, per_vertex_counts
-from ..cliques.ordered_view import OrderedGraphView, build_ordered_view
+from ..cliques.ordered_view import OrderedGraphView, ensure_view
 from ..errors import InvalidParameterError
 from ..graph.graph import Graph
 from ..options import RunOptions, warn_unsupported
@@ -52,8 +52,7 @@ def greedy_peeling(
         raise InvalidParameterError(f"k must be >= 2, got {k}")
     warn_unsupported(RunOptions.resolve(options), "Peel")
     n = graph.n
-    if view is None:
-        view = build_ordered_view(graph)
+    view = ensure_view(graph, view)
     engagement = per_vertex_counts(graph, k, view=view)
     remaining_cliques = sum(engagement) // k
     if remaining_cliques == 0:

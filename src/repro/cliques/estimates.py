@@ -22,7 +22,7 @@ from typing import Optional
 
 from ..errors import InvalidParameterError
 from ..graph.graph import Graph
-from .ordered_view import OrderedGraphView, build_ordered_view
+from .ordered_view import OrderedGraphView, ensure_view
 
 __all__ = [
     "degeneracy_clique_bound",
@@ -39,9 +39,8 @@ def degeneracy_clique_bound(
         raise InvalidParameterError(f"k must be >= 1, got {k}")
     if k == 1:
         return graph.n
-    if view is None:
-        view = build_ordered_view(graph)
-    return sum(comb(row.bit_count(), k - 1) for row in view.out_bits)
+    view = ensure_view(graph, view)
+    return sum(comb(len(later), k - 1) for later in view.out)
 
 
 def _generalized_binomial(x: float, k: int) -> float:

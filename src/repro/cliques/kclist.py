@@ -3,8 +3,9 @@
 This is the listing algorithm of Danisch, Balalau & Sozio (WWW'18) that the
 paper's KCL baseline re-runs every iteration.  Each k-clique is emitted
 exactly once, as the increasing-position chain ``p_1 < p_2 < ... < p_k``
-inside the degeneracy ordering; candidate sets are big-int bitsets so that
-each refinement step is one ``&``.
+inside the degeneracy ordering; candidate sets are big-int bitsets over
+each root's rows (:meth:`~repro.cliques.ordered_view.OrderedGraphView.root_rows`)
+so that each refinement step is one ``&``.
 
 The module offers three entry points:
 
@@ -19,7 +20,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from ..errors import InvalidParameterError
 from ..graph.graph import Graph
-from .ordered_view import OrderedGraphView, build_ordered_view
+from .ordered_view import OrderedGraphView, ensure_view
 
 __all__ = [
     "iter_k_cliques",
@@ -48,32 +49,39 @@ def iter_k_cliques_in_view(
         for i in range(n):
             yield (i,)
         return
-    out_bits = view.out_bits
-    # prefix holds the chain built so far; cand is a bitset of positions
-    # adjacent to all of prefix and greater than prefix[-1]
+    out = view.out
+    if k == 2:
+        for i in range(n):
+            for j in out[i]:
+                yield (i, j)
+        return
+    # prefix holds the chain built so far; cand is a bitset over the
+    # root's row universe of the members adjacent to all of prefix and
+    # later than prefix[-1]
     stack: List[Tuple[Tuple[int, ...], int]] = []
     for i in range(n):
-        cand = out_bits[i]
-        if cand:
-            stack.append(((i,), cand))
+        if len(out[i]) < k - 1:
+            continue
+        rows, pos, cand = view.root_rows(i)
+        stack.append(((i,), cand))
         while stack:
             prefix, cand = stack.pop()
-            depth_left = k - len(prefix)
-            if depth_left == 1:
+            if len(prefix) == k - 1:
                 mask = cand
                 while mask:
                     low = mask & -mask
-                    yield prefix + (low.bit_length() - 1,)
+                    yield prefix + (pos[low.bit_length() - 1],)
                     mask ^= low
                 continue
             mask = cand
             while mask:
                 low = mask & -mask
-                j = low.bit_length() - 1
+                t = low.bit_length() - 1
                 mask ^= low
-                nxt = cand & out_bits[j]
+                # mask now holds exactly the candidates later than t
+                nxt = mask & rows[t]
                 if nxt:
-                    stack.append((prefix + (j,), nxt))
+                    stack.append((prefix + (pos[t],), nxt))
 
 
 def iter_k_cliques(
@@ -88,10 +96,9 @@ def iter_k_cliques(
     k:
         Clique size (``>= 1``).
     view:
-        Optional pre-built ordered view to reuse across calls.
+        Optional pre-built ordered view of ``graph`` to reuse across calls.
     """
-    if view is None:
-        view = build_ordered_view(graph)
+    view = ensure_view(graph, view)
     order = view.order
     for positions in iter_k_cliques_in_view(view, k):
         yield tuple(order[p] for p in positions)
@@ -105,20 +112,19 @@ def count_k_cliques(
     Uses popcount at the last level, which skips the innermost Python loop.
     """
     _check_k(k)
-    if view is None:
-        view = build_ordered_view(graph)
+    view = ensure_view(graph, view)
     n = view.n
     if k == 1:
         return n
-    out_bits = view.out_bits
+    out = view.out
     if k == 2:
-        return sum(row.bit_count() for row in out_bits)
+        return sum(map(len, out))
     total = 0
     stack: List[Tuple[int, int]] = []  # (cand_mask, depth_left)
     for i in range(n):
-        cand = out_bits[i]
-        if not cand:
+        if len(out[i]) < k - 1:
             continue
+        rows, _, cand = view.root_rows(i)
         stack.append((cand, k - 1))
         while stack:
             cand, depth_left = stack.pop()
@@ -128,9 +134,9 @@ def count_k_cliques(
             mask = cand
             while mask:
                 low = mask & -mask
-                j = low.bit_length() - 1
+                t = low.bit_length() - 1
                 mask ^= low
-                nxt = cand & out_bits[j]
+                nxt = mask & rows[t]
                 if nxt:
                     stack.append((nxt, depth_left - 1))
     return total

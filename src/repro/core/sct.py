@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, IO, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..cliques.ordered_view import OrderedGraphView, build_ordered_view
+from ..cliques.ordered_view import OrderedGraphView, ensure_view
 from ..errors import IndexBuildError, IndexQueryError
 from ..graph.graph import Graph
 from ..obs import Recorder
@@ -75,17 +75,16 @@ def _expand_root_subtree(
     label: List[int],
     parent: List[int],
     depth_of: List[int],
-    adj: Sequence[int],
-    order: Sequence[int],
+    view: OrderedGraphView,
     root_pos: int,
-    cand0: int,
     attach_to: int,
     poll=None,
 ) -> Optional[str]:
     """Expand one seed vertex's subtree onto the flat node arrays.
 
     This is the Pivoter expansion for the root at degeneracy position
-    ``root_pos``; it appends the root child (a HOLD at depth 1, attached
+    ``root_pos``, on the rows :meth:`OrderedGraphView.root_rows` gives
+    that root; it appends the root child (a HOLD at depth 1, attached
     to ``attach_to``) and its whole subtree.  Nodes are appended the
     moment the walk descends into them, so ids are DFS pre-order by
     construction.  The serial build calls it once per unpruned root; the
@@ -99,6 +98,8 @@ def _expand_root_subtree(
     and is returned to the caller.
     """
     root_start = len(vertex)
+    adj, pos, cand0 = view.root_rows(root_pos)
+    order = view.order
 
     def new_node(orig_vertex: int, node_label: int, par: int, depth: int) -> int:
         node = len(vertex)
@@ -152,7 +153,7 @@ def _expand_root_subtree(
             frame[3] = cand & ~adj[p] & ~(1 << p)
             frame[4] = 1 << p
             # pivot branch: cliques avoiding every non-neighbour of p
-            child = new_node(order[p], PIVOT, node, depth + 1)
+            child = new_node(order[pos[p]], PIVOT, node, depth + 1)
             stack.append([child, cand & adj[p], depth + 1, None, 0])
             continue
         if frame[3]:
@@ -162,7 +163,7 @@ def _expand_root_subtree(
             x = low.bit_length() - 1
             frame[3] ^= low
             frame[4] |= low
-            child = new_node(order[x], HOLD, node, depth + 1)
+            child = new_node(order[pos[x]], HOLD, node, depth + 1)
             stack.append(
                 [child, (cand & ~frame[4]) & adj[x], depth + 1, None, 0]
             )
@@ -428,13 +429,9 @@ class SCTIndex:
         ckpt: Optional[Checkpointer] = None,
         resume: bool = False,
     ) -> "SCTIndex":
-        if view is None:
-            with recorder.span("ordered_view"):
-                view = build_ordered_view(graph)
+        view = ensure_view(graph, view, recorder)
         n = view.n
-        adj = view.adj_bits
-        out = view.out_bits
-        order = view.order
+        out = view.out
         core = view.core_number
 
         vertex: List[int] = [-1]
@@ -502,36 +499,37 @@ class SCTIndex:
             return None
 
         step_poll = None if budget is NULL_BUDGET else poll
-        for i in range(start_root, n):
-            if budget.active:
-                reason = budget.exceeded()
+        with recorder.span("expand"):
+            for i in range(start_root, n):
+                if budget.active:
+                    reason = budget.exceeded()
+                    if reason:
+                        raise exhaust(reason, i)
+                if threshold:
+                    if len(out[i]) + 1 < threshold:
+                        pruned_outdeg += 1
+                        continue  # out-degree pre-pruning
+                    if core[i] + 1 < threshold:
+                        pruned_core += 1
+                        continue  # degeneracy pre-pruning
+                reason = _expand_root_subtree(
+                    vertex, label, parent, depth_of, view, i, 0, step_poll
+                )
                 if reason:
                     raise exhaust(reason, i)
-            if threshold:
-                if out[i].bit_count() + 1 < threshold:
-                    pruned_outdeg += 1
-                    continue  # out-degree pre-pruning
-                if core[i] + 1 < threshold:
-                    pruned_core += 1
-                    continue  # degeneracy pre-pruning
-            reason = _expand_root_subtree(
-                vertex, label, parent, depth_of,
-                adj, order, i, out[i], 0, step_poll,
-            )
-            if reason:
-                raise exhaust(reason, i)
-            if ckpt is not None and ckpt.due(_BUILD_CHECKPOINT_KIND):
-                ckpt.save(_BUILD_CHECKPOINT_KIND, frontier_state(i + 1))
-                if recorder.enabled:
-                    recorder.counter("checkpoint/saves")
+                if ckpt is not None and ckpt.due(_BUILD_CHECKPOINT_KIND):
+                    ckpt.save(_BUILD_CHECKPOINT_KIND, frontier_state(i + 1))
+                    if recorder.enabled:
+                        recorder.counter("checkpoint/saves")
         if ckpt is not None:
             # the frontier snapshot only describes an unfinished build;
             # leaving it behind would make a later resume= skip real work
             ckpt.clear(_BUILD_CHECKPOINT_KIND)
 
-        index = cls._finalize_build(
-            graph.n, vertex, label, parent, depth_of, threshold
-        )
+        with recorder.span("finalize"):
+            index = cls._finalize_build(
+                graph.n, vertex, label, parent, depth_of, threshold
+            )
         _record_build_tallies(
             recorder, index, threshold, pruned_outdeg, pruned_core
         )
@@ -756,7 +754,7 @@ class SCTIndex:
         self._subtree = fresh._subtree
         self._child_off = fresh._child_off
         self._child_ids = fresh._child_ids
-        # carry the cached ordered-view slice so the *next* update skips
+        # carry the cached ordered view so the *next* update skips
         # re-peeling the pre-update graph (steady-state update cost)
         self._update_view = getattr(fresh, "_update_view", None)
         # a zero-copy backing no longer feeds any column; drop our

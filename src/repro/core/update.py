@@ -2,22 +2,26 @@
 
 The SCT*-Index decomposes into per-root subtrees, one per degeneracy
 position, and the expansion of root ``u`` reads only ``S = {u} | N+(u)``
-of the ordered view (candidate sets start from ``out_bits`` and only ever
-shrink).  An edge batch therefore localises: after re-deriving the
-degeneracy order of the updated graph, any root whose out-neighbour
-*vertex sequence* is unchanged — and whose ``S`` contains no updated
-edge — must expand to exactly the same node sequence as before, so its
-old column window is spliced into the new index verbatim with a constant
-id offset (the same splicing trick
-:func:`~repro.parallel.build.parallel_build` uses to merge worker
-chunks).  Only the remaining *dirty* roots are re-expanded.
+of the ordered view: candidate sets start from ``N+(u)`` and only ever
+shrink, and the rows they are intersected with come from
+:meth:`~repro.cliques.ordered_view.OrderedGraphView.root_rows`, as in
+the build.  An edge batch therefore localises: after re-deriving the
+ordered view of the updated graph, any root whose out-neighbour *vertex
+sequence* is unchanged — and whose ``S`` contains no updated edge — must
+expand to exactly the same node sequence as before, so its old column
+window is spliced into the new index verbatim with a constant id offset
+(the same splicing trick :func:`~repro.parallel.build.parallel_build`
+uses to merge worker chunks).  Only the remaining *dirty* roots are
+re-expanded.
 
 The splice works directly on the flat columns: ``vertex`` / ``label`` /
 ``depth`` / ``max_depth`` / ``subtree`` windows are position-independent
 (raw ``memcpy``), while the CSR ``child_off`` / ``child_ids`` entries are
 rebased by the constant offset.  No global finalisation pass runs, so
 the cost of an update is proportional to the dirty region plus one
-``O(n + m)`` peel — not to the index size.
+``O(n + m)`` peel and view — not to the index size.  The new view is
+cached on the returned index, so a sequence of updates peels each graph
+version once.
 
 Because the serial build is itself nothing but per-root expansions
 concatenated in degeneracy order, the updated index is **byte-identical**
@@ -40,9 +44,9 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from ..cliques.ordered_view import build_ordered_view
 from ..errors import IndexBuildError, InvalidParameterError
-from ..graph.cores import CoreDecomposition, core_decomposition
-from ..graph.graph import Graph, iter_bits
+from ..graph.graph import Graph
 from ..options import RunOptions
 from ..resilience.budget import NULL_BUDGET
 from .sct import (
@@ -109,58 +113,6 @@ class DirtyRegion:
         }
 
 
-@dataclass
-class _UpdateView:
-    """The slice of an ordered view that updates actually read.
-
-    Compared to a full :class:`~repro.cliques.ordered_view.OrderedGraphView`
-    this skips the (expensive, ``O(n * m / 64)``) full adjacency bitsets:
-    the clean-root test needs only the out-neighbour sequences, and
-    adjacency rows for dirty-root expansion are built lazily for the few
-    positions the expansion can touch.  ``compute_update`` caches one of
-    these on the index it returns, so a *sequence* of updates pays the
-    peel once per step instead of twice.
-    """
-
-    n: int
-    order: List[int]
-    position: List[int]
-    out_bits: List[int]
-    core: List[int]  # core number by position
-
-
-def _make_update_view(
-    graph: Graph, decomp: Optional[CoreDecomposition] = None
-) -> _UpdateView:
-    """Peel ``graph`` and derive the out-neighbour bitsets by position."""
-    if decomp is None:
-        decomp = core_decomposition(graph)
-    order = decomp.order
-    position = decomp.position
-    core_number = decomp.core_number
-    n = graph.n
-    out_bits = [0] * n
-    nbytes = (n >> 3) + 1
-    for i, u in enumerate(order):
-        # bytearray assembly beats n-bit big-int shifts per neighbour
-        buf = bytearray(nbytes)
-        hot = False
-        for w in graph.neighbors(u):
-            p = position[w]
-            if p > i:
-                buf[p >> 3] |= 1 << (p & 7)
-                hot = True
-        if hot:
-            out_bits[i] = int.from_bytes(buf, "little")
-    return _UpdateView(
-        n=n,
-        order=order,
-        position=position,
-        out_bits=out_bits,
-        core=[core_number[u] for u in order],
-    )
-
-
 _LANE_ONE = b"\x01" + b"\x00" * 7
 
 
@@ -182,16 +134,6 @@ def _shifted_lanes(view: memoryview, shift: int) -> bytes:
     else:
         val -= (-shift) * rep
     return val.to_bytes(len(data), "little")
-
-
-def _adjacency_row(graph: Graph, position: List[int], u: int) -> int:
-    """One full adjacency row of ``u`` in position space."""
-    nbytes = (graph.n >> 3) + 1
-    buf = bytearray(nbytes)
-    for w in graph.neighbors(u):
-        p = position[w]
-        buf[p >> 3] |= 1 << (p & 7)
-    return int.from_bytes(buf, "little")
 
 
 def _normalize_edges(edges, n: int, kind: str) -> Tuple[Edge, ...]:
@@ -302,35 +244,33 @@ def compute_update(
         )
     with recorder.span("index/update", observe="stage/index_update"):
         new_graph, ins, dels = apply_edge_updates(graph, inserts, deletes)
-        old_uv = getattr(index, "_update_view", None)
-        if old_uv is None or old_uv.n != graph.n:
-            old_uv = _make_update_view(graph)
-        new_uv = _make_update_view(new_graph)
-        n = new_uv.n
+        old_view = getattr(index, "_update_view", None)
+        if old_view is None or old_view.graph is not graph:
+            old_view = build_ordered_view(graph)
+        view = build_ordered_view(new_graph)
+        n = view.n
         windows = _old_root_windows(index)
         threshold = index.threshold
-        out = new_uv.out_bits
-        order = new_uv.order
-        core = new_uv.core
-        old_pos = old_uv.position
-        old_order = old_uv.order
-        old_out = old_uv.out_bits
-        old_core = old_uv.core
+        out = view.out
+        order = view.order
+        core = view.core_number
+        old_pos = old_view.position
+        old_order = old_view.order
+        old_out = old_view.out
+        old_core = old_view.core_number
         touched = ins + dels
-        position = new_uv.position
-        # updated edges as new-position pair masks: a root is dirtied by
-        # an edge iff both endpoint positions land inside {i} | out[i]
-        touched_masks = [
-            (1 << position[a]) | (1 << position[b]) for a, b in touched
-        ]
-        # positions whose occupant vertex moved between the two orders;
-        # a root whose position and whole out-row avoid these is clean
-        # without walking its out-sequence
-        unstable = 0
-        if order != old_order:
-            for p in range(n):
-                if order[p] != old_order[p]:
-                    unstable |= 1 << p
+        position = view.position
+        # roots whose S = {i} | N+(i) holds both endpoints of an updated
+        # edge: the lower endpoint itself when the edge is present, and
+        # every common neighbour earlier than both endpoints
+        touched_roots = set()
+        for a, b in touched:
+            low = min(position[a], position[b])
+            if new_graph.has_edge(a, b):
+                touched_roots.add(low)
+            for c in new_graph.neighbors(a) & new_graph.neighbors(b):
+                if position[c] < low:
+                    touched_roots.add(position[c])
 
         def is_clean(i: int, u: int) -> bool:
             """Whether root ``u``'s expansion is provably unchanged.
@@ -345,38 +285,16 @@ def compute_update(
             and the threshold-pruning decision is unchanged.
             """
             oi = old_pos[u]
-            out_new_i = out[i]
-            out_old_i = old_out[oi]
             if threshold and (
                 (core[i] + 1 < threshold) != (old_core[oi] + 1 < threshold)
             ):
                 return False
-            if not (
-                oi == i
-                and out_new_i == out_old_i
-                and not (out_new_i & unstable)
-            ):
-                # slow path: lockstep walk comparing the two sequences
-                # vertex by vertex (robust to any global position shift)
-                if out_new_i.bit_count() != out_old_i.bit_count():
-                    return False
-                mo, mn = out_old_i, out_new_i
-                while mn:
-                    low_n = mn & -mn
-                    mn ^= low_n
-                    low_o = mo & -mo
-                    mo ^= low_o
-                    if (
-                        order[low_n.bit_length() - 1]
-                        != old_order[low_o.bit_length() - 1]
-                    ):
-                        return False
-            if touched_masks:
-                s_bits = out_new_i | (1 << i)
-                for tm in touched_masks:
-                    if (s_bits & tm) == tm:
-                        return False
-            return True
+            later, old_later = out[i], old_out[oi]
+            if len(later) != len(old_later) or i in touched_roots:
+                return False
+            return list(map(order.__getitem__, later)) == list(
+                map(old_order.__getitem__, old_later)
+            )
 
         nodes_since_poll = 0
 
@@ -419,7 +337,7 @@ def compute_update(
                     raise exhaust(reason)
             clean = is_clean(i, order[i])
             if threshold and (
-                out[i].bit_count() + 1 < threshold or core[i] + 1 < threshold
+                len(out[i]) + 1 < threshold or core[i] + 1 < threshold
             ):
                 # a clean root's pruning inputs are unchanged, so it was
                 # pruned in the old build too; a dirty pruned root simply
@@ -443,27 +361,11 @@ def compute_update(
                 continue
             dirty_roots += 1
             dirty_vertices.add(order[i])
-            for p in iter_bits(out[i]):
-                dirty_vertices.add(order[p])
+            dirty_vertices.update(map(order.__getitem__, out[i]))
             dirty_positions.append(i)
             segments.append(("d", i))
 
         # ---- pass 2: re-expand the dirty roots -------------------------
-        # Adjacency rows in the *new* position space, built only for the
-        # positions an expansion can read: candidate sets start from
-        # out[i] and only ever shrink, so S = {i} | bits(out[i]) per root.
-        adj: List[int] = [0] * n
-        needed = set()
-        for i in dirty_positions:
-            needed.add(i)
-            mask = out[i]
-            while mask:
-                low = mask & -mask
-                needed.add(low.bit_length() - 1)
-                mask ^= low
-        for p in needed:
-            adj[p] = _adjacency_row(new_graph, position, order[p])
-
         nodes_rebuilt = 0
         rebuilt: Dict[int, tuple] = {}
         for i in dirty_positions:
@@ -478,9 +380,7 @@ def compute_update(
             ll: List[int] = [-1]
             lp: List[int] = [0]
             ld: List[int] = [0]
-            reason = _expand_root_subtree(
-                lv, ll, lp, ld, adj, order, i, out[i], 0, step_poll
-            )
+            reason = _expand_root_subtree(lv, ll, lp, ld, view, i, 0, step_poll)
             if reason:
                 raise exhaust(reason)
             nodes_rebuilt += len(lv) - 1
@@ -606,7 +506,7 @@ def compute_update(
             threshold=threshold,
         )
         # steady state: the next update's "old view" is this one's new view
-        new_index._update_view = new_uv
+        new_index._update_view = view
         if recorder.enabled:
             recorder.counter("update/edges_inserted", len(ins))
             recorder.counter("update/edges_deleted", len(dels))

@@ -4,12 +4,11 @@ The :class:`Graph` class stores a simple, undirected, unweighted graph with
 vertices compacted to the integer range ``0 .. n-1``.  It is the substrate
 every algorithm in this package operates on.
 
-Two adjacency representations are kept:
-
-* ``set`` rows — convenient for membership tests and iteration; and
-* big-integer *bitset* rows (built lazily) — Python arbitrary-precision
-  integers make ``&`` between neighbourhoods a single C-level operation,
-  which is what makes pure-Python clique enumeration tolerable.
+Adjacency is kept as one ``set`` per vertex: membership tests,
+iteration and ``&`` between neighbourhoods are all C-level operations, and
+the whole graph takes ``O(n + m)`` memory.  The clique algorithms work on
+big-int bitsets instead, but only over each root's small neighbourhood
+(see :mod:`repro.cliques.ordered_view`), never over all ``n`` vertices.
 
 Graphs are conceptually immutable once constructed: all mutating algorithms
 (peeling, reductions, ...) either work on copies of the adjacency or build
@@ -55,7 +54,7 @@ class Graph:
         algorithm works on the integer ids.
     """
 
-    __slots__ = ("_n", "_m", "_adj", "_labels", "_bitsets", "_degree_cache")
+    __slots__ = ("_n", "_m", "_adj", "_labels", "_degree_cache")
 
     def __init__(
         self,
@@ -84,7 +83,6 @@ class Graph:
         self._adj = adj
         self._m = m
         self._labels = list(labels) if labels is not None else None
-        self._bitsets: Optional[List[int]] = None
         self._degree_cache: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
@@ -131,8 +129,7 @@ class Graph:
         """A structurally shared copy with an edge batch applied.
 
         Only the adjacency rows of touched vertices are copied; every
-        other row (and the cached bitsets / degrees, patched per edge)
-        is shared with ``self`` — which is safe because graphs are
+        other row (and the cached degrees, patched per edge) is shared with ``self`` — which is safe because graphs are
         immutable once constructed.  Callers must already have validated
         the batch (every insert absent, every delete present, no
         overlap); :func:`repro.core.update.apply_edge_updates` is the
@@ -159,17 +156,6 @@ class Graph:
         g._adj = adj
         g._m = self._m + len(inserts) - len(deletes)
         g._labels = list(self._labels) if self._labels is not None else None
-        if self._bitsets is not None:
-            rows = list(self._bitsets)
-            for u, v in inserts:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            for u, v in deletes:
-                rows[u] &= ~(1 << v)
-                rows[v] &= ~(1 << u)
-            g._bitsets = rows
-        else:
-            g._bitsets = None
         if self._degree_cache is not None:
             degs = list(self._degree_cache)
             for u, v in inserts:
@@ -240,23 +226,6 @@ class Graph:
     def labels(self) -> Optional[List]:
         """The external label list, or ``None``."""
         return self._labels
-
-    # ------------------------------------------------------------------
-    # bitset adjacency
-    # ------------------------------------------------------------------
-
-    def adjacency_bitsets(self) -> List[int]:
-        """Adjacency rows as big-int bitsets (bit ``v`` of row ``u`` set iff
-        ``{u, v}`` is an edge).  Built once and cached."""
-        if self._bitsets is None:
-            rows = [0] * self._n
-            for u, nbrs in enumerate(self._adj):
-                row = 0
-                for v in nbrs:
-                    row |= 1 << v
-                rows[u] = row
-            self._bitsets = rows
-        return self._bitsets
 
     # ------------------------------------------------------------------
     # subgraphs

@@ -22,9 +22,10 @@ build mode can resume the other's checkpoint) and raises the budget's
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from ..cliques.ordered_view import build_ordered_view
+from ..cliques.ordered_view import ensure_view
 from ..core.sct import (
     _BUILD_CHECKPOINT_KIND,
     _BUILD_POLL_NODES,
@@ -41,10 +42,8 @@ __all__ = ["parallel_build"]
 _BUILD_STATE: Dict[str, object] = {}
 
 
-def _init_build_worker(adj, order, out, core, threshold) -> None:
-    _BUILD_STATE.update(
-        adj=adj, order=order, out=out, core=core, threshold=threshold
-    )
+def _init_build_worker(view, threshold) -> None:
+    _BUILD_STATE.update(view=view, threshold=threshold)
 
 
 def _build_chunk(task):
@@ -57,10 +56,9 @@ def _build_chunk(task):
     crossing the pool's pickling boundary.
     """
     lo, hi, remaining = task
-    adj = _BUILD_STATE["adj"]
-    order = _BUILD_STATE["order"]
-    out = _BUILD_STATE["out"]
-    core = _BUILD_STATE["core"]
+    view = _BUILD_STATE["view"]
+    out = view.out
+    core = view.core_number
     threshold = _BUILD_STATE["threshold"]
     deadline = time.monotonic() + remaining if remaining is not None else None
 
@@ -91,15 +89,14 @@ def _build_chunk(task):
             next_root = i
             break
         if threshold:
-            if out[i].bit_count() + 1 < threshold:
+            if len(out[i]) + 1 < threshold:
                 pruned_outdeg += 1
                 continue
             if core[i] + 1 < threshold:
                 pruned_core += 1
                 continue
         reason = _expand_root_subtree(
-            vertex, label, parent, depth_of,
-            adj, order, i, out[i], 0, poll,
+            vertex, label, parent, depth_of, view, i, 0, poll
         )
         if reason:
             status = "exhausted"
@@ -122,7 +119,7 @@ def _root_range_chunks(out, start_root: int, n: int, target: int) -> List[Tuple[
     out-degree (a proxy for subtree cost known before expansion)."""
     if start_root >= n:
         return []
-    weights = [out[i].bit_count() + 1 for i in range(start_root, n)]
+    weights = [len(out[i]) + 1 for i in range(start_root, n)]
     return [
         (start_root + lo, start_root + hi)
         for lo, hi in _quantile_cuts(weights, target)
@@ -141,11 +138,9 @@ def parallel_build(
     config: ParallelConfig,
 ):
     """The pool-backed body behind ``SCTIndex.build`` with workers."""
-    if view is None:
-        with recorder.span("ordered_view"):
-            view = build_ordered_view(graph)
+    view = ensure_view(graph, view, recorder)
     n = view.n
-    out = view.out_bits
+    out = view.out
 
     vertex: List[int] = [-1]
     label: List[int] = [-1]
@@ -200,57 +195,58 @@ def parallel_build(
     chunks = _root_range_chunks(
         out, start_root, n, config.workers * config.chunks_per_worker
     )
-    if chunks:
-        remaining = getattr(budget, "remaining", lambda: None)()
-        tasks = [(lo, hi, remaining) for lo, hi in chunks]
-        ctx = config.context()
-        pool = ctx.Pool(
-            processes=config.workers,
-            initializer=_init_build_worker,
-            initargs=(
-                view.adj_bits, view.order, view.out_bits,
-                view.core_number, threshold,
-            ),
-            maxtasksperchild=config.max_tasks_per_child,
-        )
-        try:
-            results = pool.imap(_build_chunk, tasks)
-            for (lo, hi), result in zip(chunks, results):
-                if budget.active:
-                    reason = budget.exceeded()
-                    if reason:
-                        raise exhaust(reason, lo)
-                (
-                    status, next_root, w_vertex, w_label,
-                    w_parent, w_depth, w_po, w_pc,
-                ) = result
-                # splice: worker ids are 1-based locally, so a constant
-                # offset relocates them; parent 0 (the worker's virtual
-                # root) stays the global virtual root
-                base = len(vertex) - 1
-                vertex.extend(w_vertex)
-                label.extend(w_label)
-                depth_of.extend(w_depth)
-                for p in w_parent:
-                    parent.append(0 if p == 0 else p + base)
-                pruned_outdeg += w_po
-                pruned_core += w_pc
-                if recorder.enabled:
-                    recorder.counter("parallel/build_chunks")
-                if status == "exhausted":
-                    raise exhaust("deadline", next_root)
-                if ckpt is not None and ckpt.due(_BUILD_CHECKPOINT_KIND):
-                    ckpt.save(_BUILD_CHECKPOINT_KIND, frontier_state(hi))
+    with recorder.span("expand"):
+        if chunks:
+            remaining = getattr(budget, "remaining", lambda: None)()
+            tasks = [(lo, hi, remaining) for lo, hi in chunks]
+            ctx = config.context()
+            pool = ctx.Pool(
+                processes=config.workers,
+                initializer=_init_build_worker,
+                # a worker needs the out-lists, the order and the core
+                # numbers; the graph's adjacency sets stay in this process
+                initargs=(replace(view, graph=None), threshold),
+                maxtasksperchild=config.max_tasks_per_child,
+            )
+            try:
+                results = pool.imap(_build_chunk, tasks)
+                for (lo, hi), result in zip(chunks, results):
+                    if budget.active:
+                        reason = budget.exceeded()
+                        if reason:
+                            raise exhaust(reason, lo)
+                    (
+                        status, next_root, w_vertex, w_label,
+                        w_parent, w_depth, w_po, w_pc,
+                    ) = result
+                    # splice: worker ids are 1-based locally, so a constant
+                    # offset relocates them; parent 0 (the worker's virtual
+                    # root) stays the global virtual root
+                    base = len(vertex) - 1
+                    vertex.extend(w_vertex)
+                    label.extend(w_label)
+                    depth_of.extend(w_depth)
+                    for p in w_parent:
+                        parent.append(0 if p == 0 else p + base)
+                    pruned_outdeg += w_po
+                    pruned_core += w_pc
                     if recorder.enabled:
-                        recorder.counter("checkpoint/saves")
-        finally:
-            pool.terminate()
-            pool.join()
+                        recorder.counter("parallel/build_chunks")
+                    if status == "exhausted":
+                        raise exhaust("deadline", next_root)
+                    if ckpt is not None and ckpt.due(_BUILD_CHECKPOINT_KIND):
+                        ckpt.save(_BUILD_CHECKPOINT_KIND, frontier_state(hi))
+                        if recorder.enabled:
+                            recorder.counter("checkpoint/saves")
+            finally:
+                pool.terminate()
+                pool.join()
     if ckpt is not None:
         ckpt.clear(_BUILD_CHECKPOINT_KIND)
-    index = cls._finalize_build(
-        graph.n, vertex, label, parent, depth_of, threshold
-    )
+    with recorder.span("finalize"):
+        index = cls._finalize_build(
+            graph.n, vertex, label, parent, depth_of, threshold
+        )
     _record_build_tallies(
         recorder, index, threshold, pruned_outdeg, pruned_core
     )

@@ -91,12 +91,6 @@ class TestAccessors:
 
 
 class TestBitsets:
-    def test_adjacency_bitsets_match_sets(self):
-        g = Graph(5, [(0, 1), (0, 4), (2, 3)])
-        rows = g.adjacency_bitsets()
-        for u in g.vertices():
-            assert set(iter_bits(rows[u])) == g.neighbors(u)
-
     def test_iter_bits_order(self):
         assert list(iter_bits(0b1011)) == [0, 1, 3]
         assert list(iter_bits(0)) == []

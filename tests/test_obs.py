@@ -190,6 +190,18 @@ class TestIndexBuildMetrics:
         paths = rec.span_totals()
         assert "index/build" in paths
         assert "index/build/ordered_view" in paths
+        assert "index/build/expand" in paths
+        assert "index/build/finalize" in paths
+
+    def test_parallel_build_has_the_same_spans(self, graph):
+        from repro.parallel import ParallelConfig
+
+        rec = MetricsRecorder()
+        options = RunOptions(recorder=rec, parallel=ParallelConfig(workers=2))
+        SCTIndex.build(graph, options=options)
+        paths = rec.span_totals()
+        for child in ("ordered_view", "expand", "finalize"):
+            assert f"index/build/{child}" in paths
 
     def test_iter_paths_counts(self, graph):
         index = SCTIndex.build(graph)
