@@ -62,16 +62,27 @@ def batch_update(
     Returns the number of weight-write operations performed — the metric
     Table 4 of the paper reports as ``#updates``.
     """
-    h: List[int] = list(holds)
-    p: List[int] = list(pivots)
-    t = k - len(h)
-    if t < 0 or t > len(p):
+    t = k - len(holds)
+    if t < 0 or t > len(pivots):
         return 0
-    total = comb(len(p), t)
+    total = comb(len(pivots), t)
     budget = total if lim is None else min(lim, total)
     if budget <= 0:
         return 0
-    updates = _distribute(weights, h, p, k, budget)
+    if total == 1:
+        # one clique, one +1: the write _distribute makes for it, to the
+        # first lightest hold when it is strictly below every pivot (or
+        # t = 0, which leaves the pivots out), else the first lightest pivot
+        weight = weights.__getitem__
+        v = min(holds, key=weight) if holds else None
+        if t:
+            u = min(pivots, key=weight)
+            if v is None or weights[u] <= weights[v]:
+                v = u
+        weights[v] += 1
+        updates = 1
+    else:
+        updates = _distribute(weights, list(holds), list(pivots), k, budget)
     if recorder.enabled:
         recorder.counter("batch/calls")
         recorder.counter("batch/cliques", budget)

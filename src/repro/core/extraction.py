@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .sct import SCTPath
+from .sct import SCTPath, path_rows
 
 __all__ = ["PrefixResult", "best_prefix_from_paths", "best_prefix_from_cliques"]
 
@@ -96,22 +96,28 @@ def best_prefix_from_paths(
     ``C(i, t-1)`` cliques per pivot (``i`` = number of earlier-ranked
     pivots), all without enumeration.
 
-    ``paths`` is swept exactly once, so a streaming
-    :class:`~repro.core.sct.SCTPathView` costs one tree traversal and no
-    path-list memory.
+    ``paths`` — a query's path source, a path table or any iterable of
+    :class:`~repro.core.sct.SCTPath` — is swept exactly once.  A path
+    with a single clique (``t = 0`` or every pivot needed) skips the
+    pivot sort: its clique ends at the path's highest rank.
     """
     n = len(weights)
     order, rank = _weight_ranking(weights)
     buckets = [0] * n  # buckets[i] = cliques whose last-ranked member is order[i]
-    for path in paths:
-        t = k - len(path.holds)
-        if t < 0 or t > len(path.pivots):
+    rank_of = rank.__getitem__
+    for holds, pivots in path_rows(paths):
+        t = k - len(holds)
+        if t < 0 or t > len(pivots):
             continue
-        hold_rank = max(rank[v] for v in path.holds)
+        hold_rank = max(map(rank_of, holds))
         if t == 0:
             buckets[hold_rank] += 1
             continue
-        pivot_ranks = sorted(rank[v] for v in path.pivots)
+        if t == len(pivots):
+            top = max(map(rank_of, pivots))
+            buckets[top if top > hold_rank else hold_rank] += 1
+            continue
+        pivot_ranks = sorted(map(rank_of, pivots))
         below = 0  # pivots ranked before the last hold
         for r in pivot_ranks:
             if r < hold_rank:

@@ -70,6 +70,10 @@ def density_profile(
         k's run lands under a ``profile/k/<k>`` span of the recorder.
         The checkpoint/resume knobs are stripped — the per-k runs would
         otherwise overwrite each other's snapshots.
+
+    Every k is checked before the first run: a ``k < 1`` raises
+    :class:`~repro.errors.InvalidParameterError`, and a k the index
+    cannot answer raises :class:`~repro.errors.IndexQueryError`.
     """
     opts = RunOptions.resolve(options)
     run_opts = opts.replace(checkpoint=None, resume=False)
@@ -77,10 +81,13 @@ def density_profile(
     if k_values is None:
         lo = max(3, index.threshold)
         k_values = range(lo, index.max_clique_size + 1)
-    results: Dict[int, DenseSubgraphResult] = {}
+    k_values = list(k_values)
     for k in k_values:
         if k < 1:
             raise InvalidParameterError(f"k must be >= 1, got {k}")
+        index._require_k(k)
+    results: Dict[int, DenseSubgraphResult] = {}
+    for k in k_values:
         with recorder.span(f"profile/k/{k}"):
             results[k] = sctl_star(
                 index, k, iterations=iterations, options=run_opts

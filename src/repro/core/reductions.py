@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..graph.disjoint_set import DisjointSet
 from ..obs import NULL_RECORDER, Recorder
 from ..options import RunOptions
-from .sct import SCTIndex, SCTPath
+from .sct import SCTIndex, SCTPath, path_rows, query_paths
 
 __all__ = [
     "KCliquePartition",
@@ -77,50 +78,38 @@ def kp_computation(
     k:
         Clique size.
     paths:
-        Pre-collected valid paths to reuse (else streamed off the index in
-        a single sweep — no path list is materialised).
+        The paths to merge: a query's path source, or any iterable of
+        :class:`~repro.core.sct.SCTPath`.  Omitted, one walk of the index
+        fills a path table (:func:`~repro.core.sct.query_paths`).
     options:
         A :class:`~repro.options.RunOptions`; only the recorder and
         parallel knobs apply here.  An enabled recorder gets a
         ``reductions/kp_computation`` span plus ``reductions/paths_merged``
-        and ``reductions/partitions`` counters.  With workers the path
-        sweep is sharded across a process pool, but the unions are
-        applied in the serial path order, so the representatives are
-        identical.
+        and ``reductions/partitions`` counters.  With workers the walk is
+        sharded across a process pool, but the unions are applied in the
+        serial path order, so the representatives are identical.
     """
     opts = RunOptions.resolve(options)
     recorder = opts.recorder
-    engine = None
-    if paths is None and opts.parallel is not None and opts.parallel.enabled:
-        from ..parallel.engine import PathShardEngine
+    with recorder.span("reductions/kp_computation"):
+        if paths is None:
+            with query_paths(index, k, options=opts) as source:
+                return _partition(index.n_vertices, source, recorder)
+        return _partition(index.n_vertices, paths, recorder)
 
-        candidate = PathShardEngine(index, opts.parallel, recorder=recorder)
-        if candidate.has_chunks:
-            engine = candidate
-            paths = candidate.path_view(k)
-        else:
-            candidate.close()
-    try:
-        with recorder.span("reductions/kp_computation"):
-            ds = DisjointSet(index.n_vertices)
-            if paths is None:
-                paths = index.iter_paths(k)
-            if recorder.enabled:
-                n_paths = 0
-                for path in paths:
-                    ds.union_many(path.vertices)
-                    n_paths += 1
-                recorder.counter("reductions/paths_merged", n_paths)
-            else:
-                for path in paths:
-                    ds.union_many(path.vertices)
-            partition_of = [ds.find(v) for v in range(index.n_vertices)]
-            if recorder.enabled:
-                recorder.counter("reductions/partitions", len(set(partition_of)))
-            return KCliquePartition(partition_of=partition_of)
-    finally:
-        if engine is not None:
-            engine.close()
+
+def _partition(n: int, paths, recorder: Recorder) -> KCliquePartition:
+    """Union-find the vertices of every path of ``paths``."""
+    ds = DisjointSet(n)
+    n_paths = 0
+    for holds, pivots in path_rows(paths):
+        ds.union_many(chain(holds, pivots))
+        n_paths += 1
+    partition_of = [ds.find(v) for v in range(n)]
+    if recorder.enabled:
+        recorder.counter("reductions/paths_merged", n_paths)
+        recorder.counter("reductions/partitions", len(set(partition_of)))
+    return KCliquePartition(partition_of=partition_of)
 
 
 def partition_density_bounds(
@@ -158,6 +147,24 @@ def partition_density_bounds(
             "reductions/max_partition_bound", float(max(bounds.values()))
         )
     return bounds
+
+
+def live_partitions(
+    partition_of: Sequence[int],
+    bounds: Dict[int, Fraction],
+    best_density: Fraction,
+) -> List[bool]:
+    """Per vertex: whether its partition's Lemma 3 bound beats ``best_density``.
+
+    The clique-connectivity test of one SCTL* round, decided once per
+    partition by integer cross-multiplication.
+    """
+    num, den = best_density.numerator, best_density.denominator
+    live = {
+        root: bound.numerator * den > num * bound.denominator
+        for root, bound in bounds.items()
+    }
+    return [live[root] for root in partition_of]
 
 
 def engagement_threshold(density: Fraction) -> int:

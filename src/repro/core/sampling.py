@@ -11,8 +11,8 @@ The three stages of the paper:
    for ``T`` iterations, with the Lemma 4 clique-engagement reduction
    applied inside the sampled subgraph.
 3. **Recovery** — extract the best prefix of the sampled subgraph, then
-   compute its *true* k-clique density in the original graph through
-   :meth:`SCTIndex.count_in_subset` — again without enumerating cliques.
+   compute its *true* k-clique density in the original graph by counting
+   it over the index's paths (Lemma 2) — again without enumerating cliques.
 
 The returned density is therefore measured on the input graph even though
 only a sample of cliques was ever visited.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import BudgetExhausted, InvalidParameterError
 from ..options import RunOptions
@@ -31,7 +31,14 @@ from ..resilience.budget import NULL_BUDGET
 from ..results import DenseSubgraphResult, PartialResult
 from .extraction import best_prefix_from_cliques
 from .reductions import engagement_threshold
-from .sct import SCTIndex, SCTPath
+from .sct import (
+    QueryPaths,
+    SCTIndex,
+    SCTPath,
+    SCTPathTable,
+    count_in_subset,
+    query_paths,
+)
 from .sctl import empty_result
 
 __all__ = ["sctl_star_sample", "sample_k_cliques"]
@@ -54,24 +61,28 @@ def _unrank_combination(rank: int, m: int, t: int) -> Tuple[int, ...]:
     return tuple(result)
 
 
-def _sample_from_path(
-    path: SCTPath, k: int, want: int, rng: random.Random
+def _sample_from_row(
+    holds: Sequence[int],
+    pivots: Sequence[int],
+    k: int,
+    want: int,
+    rng: random.Random,
 ) -> List[Tuple[int, ...]]:
-    """``want`` distinct k-cliques of ``path``, uniformly at random."""
-    need = k - len(path.holds)
-    m = len(path.pivots)
+    """``want`` distinct k-cliques of one path, uniformly at random."""
+    need = k - len(holds)
+    m = len(pivots)
     total = comb(m, need)
     want = min(want, total)
     if want <= 0:
         return []
+    holds = tuple(holds)
     if need == 0:
-        return [path.holds]
-    pivots = path.pivots
+        return [holds]
     ranks = rng.sample(range(total), want)  # distinct ranks, uniform
     cliques = []
     for rank in ranks:
         chosen = _unrank_combination(rank, m, need)
-        cliques.append(path.holds + tuple(pivots[i] for i in chosen))
+        cliques.append(holds + tuple(pivots[i] for i in chosen))
     return cliques
 
 
@@ -89,9 +100,10 @@ def sample_k_cliques(
     the shares sum to ``sample_size`` exactly.  If the budget covers every
     clique, all cliques are returned.
 
-    ``paths`` is swept at most twice (once for the global count, once to
-    allocate), so a streaming :class:`~repro.core.sct.SCTPathView` works as
-    well as a materialised list and draws the identical sample.
+    ``paths`` — a query's path source, or any iterable of
+    :class:`~repro.core.sct.SCTPath`, which is first read once into a path
+    table — is swept at most twice (once for the global count, once to
+    allocate).
 
     ``options`` (a :class:`~repro.options.RunOptions`) applies two knobs;
     the checkpoint and parallel knobs do not apply here (``paths`` is
@@ -108,14 +120,18 @@ def sample_k_cliques(
     opts = RunOptions.resolve(options)
     recorder = opts.recorder
     budget = opts.budget
+    if not isinstance(paths, (QueryPaths, SCTPathTable)):
+        paths = SCTPathTable.pack(paths)
     with recorder.span("sample/draw"):
         total = 0
         seen = 0
-        for p in paths:
+        for holds, pivots in paths:
             seen += 1
             if budget.active and not seen % 1024:
                 budget.check("sample/draw")
-            total += p.clique_count(k)
+            need = k - len(holds)
+            if need >= 0:
+                total += comb(len(pivots), need)
         if total == 0:
             return []
         if recorder.enabled:
@@ -123,11 +139,11 @@ def sample_k_cliques(
         if sample_size >= total:
             out = []
             seen = 0
-            for p in paths:
+            for holds, pivots in paths:
                 seen += 1
                 if budget.active and not seen % 1024:
                     budget.check("sample/draw")
-                out.extend(p.iter_cliques(k))
+                out.extend(SCTPath(tuple(holds), tuple(pivots)).iter_cliques(k))
             if recorder.enabled:
                 recorder.counter("sample/cliques_drawn", len(out))
             return out
@@ -135,11 +151,12 @@ def sample_k_cliques(
         accumulated = 0
         paths_sampled = 0
         seen = 0
-        for path in paths:
+        for holds, pivots in paths:
             seen += 1
             if budget.active and not seen % 1024:
                 budget.check("sample/draw")
-            count = path.clique_count(k)
+            need = k - len(holds)
+            count = comb(len(pivots), need) if need >= 0 else 0
             if not count:
                 continue
             want = (accumulated + count) * sample_size // total - (
@@ -147,7 +164,7 @@ def sample_k_cliques(
             )
             accumulated += count
             if want:
-                out.extend(_sample_from_path(path, k, want, rng))
+                out.extend(_sample_from_row(holds, pivots, k, want, rng))
                 paths_sampled += 1
             if len(out) >= sample_size:
                 break
@@ -186,10 +203,13 @@ def sctl_star_sample(
     use_reduction:
         Apply the clique-engagement reduction inside the sampled subgraph.
     paths:
-        Pre-collected valid paths to reuse.  When omitted, paths are
-        **streamed** off the index (two sweeps: global count + allocation),
-        so no path list is ever materialised; the drawn sample is identical
-        to the pre-collected mode for the same seed.
+        The index's valid paths at ``k``, already collected.  They are
+        read exactly once, into the query's path table, so a one-shot
+        iterator works like a list.  When omitted, one walk of the index
+        fills the table, which the draw's two sweeps and the recovery
+        count read; a table that would outgrow the index is dropped and
+        each of them walks the tree instead.  The drawn sample is the
+        same for the same seed either way.
     options:
         A :class:`~repro.options.RunOptions`; checkpoint/resume do not
         apply to sampling and are ignored.
@@ -203,10 +223,11 @@ def sctl_star_sample(
           during refinement rolls the half-swept pass back and degrades
           to a *valid* partial result — recovery still measures the true
           density of the extracted prefix on the original graph.
-        * ``parallel`` shards the two drawing sweeps over a process pool.
-          The paths arrive in serial order, so the drawn sample — and
-          everything downstream — is identical for any worker count and
-          the same seed.
+        * ``parallel`` fills the path table (or, above its cap, runs the
+          two drawing sweeps) through a process pool.  The paths arrive
+          in serial order, so the drawn sample — and everything
+          downstream — is identical for any worker count and the same
+          seed.
     """
     if sample_size < 1:
         raise InvalidParameterError(f"sample_size must be >= 1, got {sample_size}")
@@ -220,23 +241,13 @@ def sctl_star_sample(
     # the sample then misses cliques in pruned subtrees, but "most
     # k-cliques in the densest subgraph come from larger cliques"
     partial_approximation = not index.supports_k(k) and k >= 1
-    engine = None
-    if paths is None:
-        enforce = not partial_approximation
-        if opts.parallel is not None and opts.parallel.enabled:
-            from ..parallel.engine import PathShardEngine
-
-            candidate = PathShardEngine(index, opts.parallel, recorder=recorder)
-            if candidate.has_chunks:
-                engine = candidate
-                paths = engine.path_view(k, enforce_support=enforce)
-            else:
-                candidate.close()
-        if paths is None:
-            paths = index.path_view(k, enforce_support=enforce)
+    source = query_paths(
+        index, k, paths, enforce_support=not partial_approximation,
+        options=opts,
+    )
     try:
         sampled = sample_k_cliques(
-            paths, k, sample_size, rng, options=opts
+            source, k, sample_size, rng, options=opts
         )
     except BudgetExhausted as exc:
         if recorder.enabled:
@@ -254,9 +265,8 @@ def sctl_star_sample(
         )
     finally:
         # the engine only feeds the draw stage; stages 2-3 work on the
-        # materialised sample
-        if engine is not None:
-            engine.close()
+        # materialised sample, and recovery reads the table
+        source.close()
     if not sampled:
         return empty_result(k, "SCTL*-Sample")
     n = index.n_vertices
@@ -340,9 +350,7 @@ def sctl_star_sample(
                     stage="sample/refine",
                 )
             return empty_result(k, "SCTL*-Sample")
-        true_count = index.count_in_subset(
-            k, chosen, enforce_support=not partial_approximation
-        )
+        true_count = count_in_subset(source, k, chosen)
         if recorder.enabled and chosen:
             recorder.gauge(
                 "sample/recovered_density", true_count / len(chosen)

@@ -38,6 +38,7 @@ import time
 import weakref
 from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import comb
 from typing import Dict, IO, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -57,6 +58,9 @@ __all__ = ["SCTPath", "SCTPathView", "SCTIndex", "HOLD", "PIVOT"]
 _BUILD_POLL_NODES = 4096
 
 _BUILD_CHECKPOINT_KIND = "sct-build"
+
+# a streamed sweep packs the walk into tables of at most this many rows
+_STREAM_ROWS = 1024
 
 HOLD = 0
 PIVOT = 1
@@ -906,6 +910,16 @@ class SCTIndex:
             yield node, holds, pivots
             node += 1
 
+    def _iter_leaf_buffers(
+        self, k: int
+    ) -> Iterator[Tuple[List[int], List[int]]]:
+        """The live ``(holds, pivots)`` buffers at every leaf
+        :meth:`iter_paths` would yield for ``k``, with no snapshot."""
+        subtree = self._subtree
+        for node, holds, pivots in self._iter_traversal(k):
+            if subtree[node] == 1 and len(holds) <= k <= len(holds) + len(pivots):
+                yield holds, pivots
+
     def iter_paths(
         self,
         k: Optional[int] = None,
@@ -1079,19 +1093,15 @@ class SCTIndex:
         """A re-iterable, zero-materialisation view over the valid paths.
 
         Every ``iter()`` walks the tree afresh via :meth:`iter_paths`, so
-        memory stays bounded by tree depth instead of path-list size.  This
-        is what the streaming mode of SCTL/SCTL*/SCTL*-Sample consumes:
-        algorithms that sweep the paths once per refinement pass re-traverse
-        instead of holding every :class:`SCTPath` alive.  Prefer
-        :meth:`collect_paths` reuse only when the path list comfortably fits
-        in memory and is swept many times.
+        memory stays bounded by tree depth instead of path-list size.  The
+        SCTL family does not need it: each query keeps its paths in one
+        flat table, or streams them when the table would outgrow the
+        index (:class:`SCTPathTable`).
 
         ``options`` is handed to every ``iter()`` unchanged (see
         :meth:`iter_paths` for the knobs that apply).  With a parallel
         config, each ``iter()`` runs through a short-lived process pool;
-        the path order is unchanged.  Algorithms that sweep a view many
-        times hold one long-lived engine instead — prefer passing
-        ``options=`` to them over iterating a parallel view repeatedly.
+        the path order is unchanged.
         """
         opts = RunOptions.resolve(options)
         if k is not None and enforce_support:
@@ -1182,16 +1192,7 @@ class SCTIndex:
         """
         if enforce_support:
             self._require_k(k)
-        allowed_set: Set[int] = set(allowed)
-        total = 0
-        for path in self.iter_paths(k, enforce_support=enforce_support):
-            if any(h not in allowed_set for h in path.holds):
-                continue
-            p_in = sum(1 for v in path.pivots if v in allowed_set)
-            need = k - len(path.holds)
-            if 0 <= need <= p_in:
-                total += comb(p_in, need)
-        return total
+        return count_in_subset(QueryPaths(self, k), k, allowed)
 
     def per_vertex_counts_in_subset(
         self, k: int, allowed: Iterable[int]
@@ -1442,3 +1443,228 @@ class SCTPathView:
 
     def __repr__(self) -> str:
         return f"SCTPathView(k={self._k}, index={self._index!r})"
+
+
+class SCTPathTable:
+    """Valid root-to-leaf paths as flat ``array('q')`` columns.
+
+    Row ``i`` is the path with vertices ``vertices[start[i]:end]``, where
+    ``end`` is ``start[i + 1]`` (``len(vertices)`` for the last row): the
+    first ``holds[i]`` of them are its holds and the rest its pivots, each
+    in root-to-leaf order.  Rows keep the order of
+    :meth:`SCTIndex.iter_paths`, so a sweep over a table replays a walk of
+    the tree.  Iterating a table yields each row as a ``(holds, pivots)``
+    pair of ``array('q')`` slices.
+
+    One query at one ``k`` fills one table by one walk (:func:`query_paths`)
+    and reads it in every sweep.  The rule that bounds it: a table is
+    abandoned as soon as its int64 :attr:`entries` — path vertices plus 2
+    per path — would outnumber the index's own, 7 per tree node plus 1
+    (:func:`table_cap`).  Each sweep of that query then walks the tree
+    again, packing the walk into tables of at most ``_STREAM_ROWS`` rows
+    as it goes, so memory stays bounded by the index itself.
+    """
+
+    __slots__ = ("vertices", "start", "holds")
+
+    def __init__(self) -> None:
+        self.vertices = array("q")
+        self.start = array("q")
+        self.holds = array("q")
+
+    @classmethod
+    def pack(cls, paths: Iterable[SCTPath]) -> "SCTPathTable":
+        """One table holding every path of ``paths``, read once."""
+        table = cls()
+        for path in paths:
+            table.append(path.holds, path.pivots)
+        return table
+
+    def append(self, holds: Sequence[int], pivots: Sequence[int]) -> None:
+        """Add one path as the last row."""
+        self.start.append(len(self.vertices))
+        self.holds.append(len(holds))
+        self.vertices.extend(holds)
+        self.vertices.extend(pivots)
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    @property
+    def entries(self) -> int:
+        """int64 entries held: path vertices plus 2 per path."""
+        return len(self.vertices) + 2 * len(self.start)
+
+    def __iter__(self) -> Iterator[Tuple[array, array]]:
+        vertices = self.vertices
+        ends = chain(islice(self.start, 1, None), (len(vertices),))
+        for begin, n_holds, end in zip(self.start, self.holds, ends):
+            mid = begin + n_holds
+            yield vertices[begin:mid], vertices[mid:end]
+
+
+def table_cap(index: SCTIndex) -> int:
+    """The most int64 entries a query's path table may hold for ``index``."""
+    return 7 * index.n_tree_nodes + 1
+
+
+def _packed(
+    pairs: Iterable[Tuple[Sequence[int], Sequence[int]]]
+) -> Iterator[SCTPathTable]:
+    """``(holds, pivots)`` pairs packed into tables of bounded size."""
+    table = SCTPathTable()
+    for holds, pivots in pairs:
+        table.append(holds, pivots)
+        if len(table) == _STREAM_ROWS:
+            yield table
+            table = SCTPathTable()
+    if len(table):
+        yield table
+
+
+class QueryPaths:
+    """The paths every sweep of one query reads; see :func:`query_paths`.
+
+    Iterating yields ``(holds, pivots)`` rows in traversal order: from
+    :attr:`table` when the query's table fits, otherwise from a fresh
+    walk of the tree — through :attr:`engine` while it is open — packed
+    into bounded tables as it is read.
+    """
+
+    __slots__ = ("index", "k", "enforce_support", "table", "engine")
+
+    def __init__(
+        self,
+        index: SCTIndex,
+        k: int,
+        table: Optional[SCTPathTable] = None,
+        engine=None,
+        enforce_support: bool = True,
+    ):
+        self.index = index
+        self.k = k
+        self.table = table
+        self.engine = engine
+        self.enforce_support = enforce_support
+
+    def _walk(self) -> Iterable[Tuple[Sequence[int], Sequence[int]]]:
+        if self.engine is not None:
+            return chain.from_iterable(
+                self.engine.map("paths", self.k, self.enforce_support)
+            )
+        return self.index._iter_leaf_buffers(self.k)
+
+    def tables(self) -> Iterator[SCTPathTable]:
+        """The query's table, or a fresh walk packed into bounded tables."""
+        if self.table is not None:
+            return iter((self.table,))
+        return _packed(self._walk())
+
+    def __iter__(self) -> Iterator[Tuple[Sequence[int], Sequence[int]]]:
+        if self.table is not None:
+            return iter(self.table)
+        return chain.from_iterable(self.tables())
+
+    @property
+    def empty(self) -> bool:
+        """Whether the query has no path; one that streams has overflowed
+        the cap, so it has some."""
+        return self.table is not None and not len(self.table)
+
+    def close(self) -> None:
+        """Shut the engine down; later sweeps walk the tree serially."""
+        if self.engine is not None:
+            self.engine.close()
+            self.engine = None
+
+    def __enter__(self) -> "QueryPaths":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def query_paths(
+    index: SCTIndex,
+    k: int,
+    paths: Optional[Iterable[SCTPath]] = None,
+    enforce_support: bool = True,
+    options: Optional[RunOptions] = None,
+) -> QueryPaths:
+    """Fill one query's path table by one walk of ``index`` at ``k``.
+
+    A caller's ``paths`` is read exactly once, into the table, whatever
+    its size: a one-shot iterator works like a list.  Otherwise the tree
+    is walked — through a :class:`~repro.parallel.engine.PathShardEngine`
+    when ``options.parallel`` asks for workers, which the returned source
+    keeps open for pooled sweeps — and the table is abandoned when it
+    would outgrow the index (:class:`SCTPathTable`); the source then
+    streams.  The fill runs under a ``refine/path_table`` span with
+    ``refine/path_table_rows`` and ``refine/path_table_entries``
+    counters; an abandoned table records a ``refine/path_table_streamed``
+    counter and a ``path_table_streamed`` event with ``k``, the entries
+    seen and the cap.  Close the source (or use it as a context manager)
+    to release the engine.
+    """
+    opts = RunOptions.resolve(options)
+    recorder = opts.recorder
+    engine = None
+    if paths is None:
+        if enforce_support:
+            index._require_k(k)
+        if opts.parallel is not None and opts.parallel.enabled:
+            from ..parallel.engine import PathShardEngine
+
+            engine = PathShardEngine(index, opts.parallel, recorder=recorder)
+            if not engine.has_chunks:
+                engine.close()
+                engine = None
+    source = QueryPaths(index, k, None, engine, enforce_support)
+    try:
+        with recorder.span("refine/path_table"):
+            if paths is not None:
+                table = SCTPathTable.pack(paths)
+            else:
+                table = SCTPathTable()
+                cap = table_cap(index)
+                for holds, pivots in source._walk():
+                    table.append(holds, pivots)
+                    if table.entries > cap:
+                        if recorder.enabled:
+                            recorder.counter("refine/path_table_streamed")
+                            recorder.event(
+                                "path_table_streamed",
+                                k=k, entries=table.entries, cap=cap,
+                            )
+                        return source
+            if recorder.enabled:
+                recorder.counter("refine/path_table_rows", len(table))
+                recorder.counter("refine/path_table_entries", table.entries)
+            source.table = table
+            return source
+    except BaseException:
+        source.close()
+        raise
+
+
+def path_rows(paths) -> Iterator[Tuple[Sequence[int], Sequence[int]]]:
+    """``(holds, pivots)`` rows of a query's paths, a table, or any
+    iterable of :class:`SCTPath`, packed into bounded tables as read."""
+    if isinstance(paths, (QueryPaths, SCTPathTable)):
+        return iter(paths)
+    return chain.from_iterable(_packed((p.holds, p.pivots) for p in paths))
+
+
+def count_in_subset(paths, k: int, allowed: Iterable[int]) -> int:
+    """k-cliques of ``paths`` inside ``allowed`` (see
+    :meth:`SCTIndex.count_in_subset`); ``paths`` as for :func:`path_rows`."""
+    allowed_set: Set[int] = set(allowed)
+    total = 0
+    for holds, pivots in path_rows(paths):
+        if any(h not in allowed_set for h in holds):
+            continue
+        p_in = sum(1 for v in pivots if v in allowed_set)
+        need = k - len(holds)
+        if 0 <= need <= p_in:
+            total += comb(p_in, need)
+    return total

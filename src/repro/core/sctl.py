@@ -15,6 +15,7 @@ we have ``sum_{v in S*} r(v)/T >= rho_opt * |S*|``, hence
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, List, Optional, Sequence
 
 from ..errors import InvalidParameterError
@@ -24,7 +25,7 @@ from ..resilience.budget import NULL_BUDGET, Budget
 from ..resilience.checkpoint import Checkpointer, require_match
 from ..results import DenseSubgraphResult, PartialResult
 from .extraction import best_prefix_from_paths
-from .sct import SCTIndex, SCTPath
+from .sct import QueryPaths, SCTIndex, SCTPath, query_paths
 
 __all__ = ["sctl", "empty_result"]
 
@@ -67,11 +68,13 @@ def sctl(
         is heuristic, not certified.  A restored checkpoint (``resume``)
         takes precedence over the seed.
     paths:
-        Pre-collected valid root-to-leaf paths to reuse across calls.
-        When omitted, the paths are **streamed** off the index on every
-        pass, bounding memory by tree depth instead of path-list size;
-        pass ``index.collect_paths(k)`` explicitly to trade memory for the
-        one-traversal-total behaviour.
+        The index's valid paths at ``k``, already collected (say one
+        ``index.collect_paths(k)`` shared by several calls).  They are
+        read exactly once, into the query's path table, so a one-shot
+        iterator works like a list.  When omitted, one walk of the index
+        fills the table and every pass reads it; a table that would
+        outgrow the index is dropped and each pass walks the tree instead
+        (:class:`~repro.core.sct.SCTPathTable`).
     track_convergence:
         Extract after *every* pass and record the achieved density and
         the certified upper bound per iteration (slower; used for
@@ -96,10 +99,11 @@ def sctl(
         * ``resume`` restores the weight vector (validated against
           ``k``, the vertex count and the algorithm) and continues from
           the next round.
-        * ``parallel`` with more than one worker streams each pass's
-          paths through a process pool while the per-clique weight
-          updates stay in this process, applied in the serial path
-          order — the result is byte-identical to serial.
+        * ``parallel`` with more than one worker fills the path table
+          (or, above its cap, streams each pass's paths) through a
+          process pool while the per-clique weight updates stay in this
+          process, applied in the serial path order — the result is
+          byte-identical to serial.
 
     Returns a :class:`DenseSubgraphResult` whose ``stats`` carry the raw
     vertex weights (``"weights"``) and the per-pass clique count
@@ -112,27 +116,11 @@ def sctl(
     budget = opts.budget
     resume = opts.resume
     ckpt = Checkpointer.ensure(opts.checkpoint)
-    engine = None
-    if paths is None:
-        if opts.parallel is not None and opts.parallel.enabled:
-            from ..parallel.engine import PathShardEngine
-
-            candidate = PathShardEngine(index, opts.parallel, recorder=recorder)
-            if candidate.has_chunks:
-                engine = candidate
-                paths = engine.path_view(k)
-            else:
-                candidate.close()
-        if paths is None:
-            paths = index.path_view(k)  # streaming: re-traverse per pass
-    try:
+    with query_paths(index, k, paths, options=opts) as source:
         return _sctl_run(
-            index, k, iterations, warm_start, paths, track_convergence,
-            recorder, budget, ckpt, resume, engine,
+            index, k, iterations, warm_start, source, track_convergence,
+            recorder, budget, ckpt, resume,
         )
-    finally:
-        if engine is not None:
-            engine.close()
 
 
 def _validated_warm_start(
@@ -157,38 +145,26 @@ def _sctl_run(
     k: int,
     iterations: int,
     warm_start: Optional[Sequence[int]],
-    paths: Iterable[SCTPath],
+    source: QueryPaths,
     track_convergence: bool,
     recorder: Recorder,
     budget: Budget,
     ckpt: Optional[Checkpointer],
     resume: bool,
-    engine,
 ) -> DenseSubgraphResult:
     n = index.n_vertices
     seed = _validated_warm_start(warm_start, n)
     n_paths = 0
     cliques_per_iteration = 0
-    if engine is not None:
-        # the engine counts in the workers; the parent polls the budget
-        # once per merged chunk instead of once per 1024 paths
-        for chunk_paths, chunk_cliques in engine.map("count", k):
-            if budget.active:
-                reason = budget.exceeded()
-                if reason:
-                    return _partial_sctl(k, reason, "refine/setup", recorder)
-            n_paths += chunk_paths
-            cliques_per_iteration += chunk_cliques
-    else:
-        for p in paths:
-            n_paths += 1
-            if budget.active and not n_paths % 1024:
-                reason = budget.exceeded()
-                if reason:
-                    return _partial_sctl(
-                        k, reason, "refine/setup", recorder,
-                    )
-            cliques_per_iteration += p.clique_count(k)
+    for holds, pivots in source:
+        n_paths += 1
+        if budget.active and not n_paths % 1024:
+            reason = budget.exceeded()
+            if reason:
+                return _partial_sctl(k, reason, "refine/setup", recorder)
+        need = k - len(holds)
+        if need >= 0:
+            cliques_per_iteration += comb(len(pivots), need)
     if not n_paths:
         return empty_result(k, "SCTL")
     track = recorder.enabled
@@ -221,13 +197,13 @@ def _sctl_run(
             f"refine/iteration/{round_number}", observe="stage/refine_round"
         ):
             swept = 0
-            for path in paths:
+            for holds, pivots in source:
                 swept += 1
                 if budget.active and not swept % 1024:
                     exhausted = budget.exceeded()
                     if exhausted:
                         break
-                for clique in path.iter_cliques(k):
+                for clique in SCTPath(tuple(holds), tuple(pivots)).iter_cliques(k):
                     u = min(clique, key=weights.__getitem__)
                     weights[u] += 1
             if exhausted:
@@ -270,7 +246,7 @@ def _sctl_run(
                 cliques_processed=cliques_per_iteration,
             )
         if track_convergence:
-            snapshot = best_prefix_from_paths(paths, weights, k)
+            snapshot = best_prefix_from_paths(source, weights, k)
             density_history.append(snapshot.density)
             upper_history.append(
                 max(max(weights) / round_number, snapshot.density)
@@ -295,7 +271,7 @@ def _sctl_run(
             )
         else:
             ckpt.clear(_CHECKPOINT_KIND)
-    prefix = best_prefix_from_paths(paths, weights, k)
+    prefix = best_prefix_from_paths(source, weights, k)
     upper = max(max(weights) / completed, prefix.density)
     stats = {
         "weights": weights,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import comb
 from typing import Iterable, List, Optional, Sequence
 
@@ -35,8 +36,13 @@ from ..resilience.checkpoint import Checkpointer, require_match
 from ..results import DenseSubgraphResult, PartialResult
 from .batch import batch_update
 from .extraction import best_prefix_from_paths
-from .reductions import engagement_threshold, kp_computation, partition_density_bounds
-from .sct import SCTIndex, SCTPath
+from .reductions import (
+    engagement_threshold,
+    kp_computation,
+    live_partitions,
+    partition_density_bounds,
+)
+from .sct import QueryPaths, SCTIndex, SCTPath, count_in_subset, query_paths
 from .sctl import _validated_warm_start, empty_result
 
 __all__ = ["IterationStats", "sctl_star", "sctl_plus"]
@@ -107,11 +113,15 @@ def sctl_star(
         Record :class:`IterationStats` per iteration (slower: it counts
         scope edges and cliques); stored in ``result.stats["iterations"]``.
     paths:
-        Pre-collected valid paths to reuse.  When omitted, paths are
-        **streamed** off the index on every sweep (engagement, partition,
-        refinement, extraction), keeping memory bounded by tree depth; the
-        results are identical to the pre-collected mode because traversal
-        order is deterministic.
+        The index's valid paths at ``k``, already collected.  They are
+        read exactly once, into the query's path table, so a one-shot
+        iterator works like a list.  When omitted, one walk of the index
+        fills the table, and every sweep — engagement, partition,
+        refinement, extraction and the ``collect_stats`` scope counts —
+        reads it; a table that would outgrow the index is dropped and
+        each sweep walks the tree instead
+        (:class:`~repro.core.sct.SCTPathTable`).  The answer is the same
+        either way.
     algorithm_name:
         Override the reported algorithm label.
     options:
@@ -140,9 +150,10 @@ def sctl_star(
           density bounds are recomputed — they derive deterministically
           from the initial engagement, so the resumed run matches an
           uninterrupted one exactly.
-        * ``parallel`` with more than one worker runs each sweep's path
-          filtering and counting (phase A) over disjoint contiguous path
-          shards in a process pool while the weight updates (phase B)
+        * ``parallel`` with more than one worker fills the path table
+          from the pool's ordered stream and runs each refinement sweep's
+          path filtering and counting (phase A) over disjoint contiguous
+          path shards in the pool, while the weight updates (phase B)
           are applied here in serial path order — byte-identical results
           for any worker count.  The budget is then polled per merged
           chunk instead of per path.
@@ -157,28 +168,12 @@ def sctl_star(
         else "SCTL(batch)" if use_batch
         else "SCTL"
     )
-    engine = None
-    if paths is None:
-        if opts.parallel is not None and opts.parallel.enabled:
-            from ..parallel.engine import PathShardEngine
-
-            candidate = PathShardEngine(index, opts.parallel, recorder=opts.recorder)
-            if candidate.has_chunks:
-                engine = candidate
-                paths = engine.path_view(k)
-            else:
-                candidate.close()
-        if paths is None:
-            paths = index.path_view(k)  # streaming: re-traverse per sweep
-    try:
+    with query_paths(index, k, paths, options=opts) as source:
         return _sctl_star_run(
             index, k, iterations, warm_start, graph, use_reductions,
-            use_batch, collect_stats, paths, name, opts.recorder,
-            opts.budget, ckpt, opts.resume, engine,
+            use_batch, collect_stats, source, name, opts.recorder,
+            opts.budget, ckpt, opts.resume,
         )
-    finally:
-        if engine is not None:
-            engine.close()
 
 
 def _sctl_star_run(
@@ -190,20 +185,17 @@ def _sctl_star_run(
     use_reductions: bool,
     use_batch: bool,
     collect_stats: bool,
-    paths: Iterable[SCTPath],
+    source: QueryPaths,
     name: str,
     recorder: Recorder,
     budget: Budget,
     ckpt: Optional[Checkpointer],
     resume: bool,
-    engine,
 ) -> DenseSubgraphResult:
-    # emptiness probe: with an engine, a cheap serial peek — iterating the
-    # parallel view would launch a full pooled sweep just to test for one path
-    probe = index.iter_paths(k) if engine is not None else iter(paths)
-    if next(probe, None) is None:
+    if source.empty:
         return empty_result(k, name)
     n = index.n_vertices
+    engine = source.engine
 
     # initial achieved solution: a maximum clique straight off the index
     best_vertices = index.a_maximum_clique()
@@ -217,9 +209,9 @@ def _sctl_star_run(
     engagement: List[int] = []
     if use_reductions:
         with recorder.span("reductions/engagement"):
-            engagement = _engagement_from_paths(paths, k, n)
+            engagement = _engagement_from_paths(source, k, n)
         partition = kp_computation(
-            index, k, paths=paths, options=RunOptions(recorder=recorder)
+            index, k, paths=source, options=RunOptions(recorder=recorder)
         )
         partition_of = partition.partition_of
         bounds = partition_density_bounds(
@@ -289,11 +281,15 @@ def _sctl_star_run(
         # already active: a cancel (signal, fault) can arm it mid-sweep
         iter_start_weights = weights[:] if budget is not NULL_BUDGET else None
         threshold = engagement_threshold(best_density)
+        in_scope = live = None
+        if use_reductions:
+            live = live_partitions(partition_of, bounds, best_density)
+            in_scope = [e >= threshold for e in engagement]
         stats_entry = None
         if collect_stats:
             stats_entry = _scope_snapshot(
-                index, graph, k, t, n, use_reductions, engagement, threshold,
-                partition_of, bounds, best_density,
+                source, graph, k, t, n, use_reductions, in_scope, live,
+                best_density,
             )
         new_engagement = [0] * n if use_reductions else []
         updates = 0
@@ -312,38 +308,35 @@ def _sctl_star_run(
                     pruned_engagement, pivots_dropped, exhausted,
                 ) = _parallel_refine_sweep(
                     engine, k, weights, use_reductions, use_batch,
-                    engagement, threshold, partition_of, bounds,
-                    best_density, new_engagement, budget,
+                    in_scope, live, new_engagement, budget,
                 )
             else:
-                for path in paths:
+                for holds, pivots in source:
                     n_paths += 1
                     if budget.active:
                         exhausted = budget.exceeded()
                         if exhausted:
                             break
+                    need = k - len(holds)
                     if use_reductions:
-                        if bounds[partition_of[path.holds[0]]] <= best_density:
+                        if not live[holds[0]]:
                             if track:
                                 pruned_connectivity += 1
                             continue  # clique-connectivity reduction
-                        holds = [
-                            v for v in path.holds if engagement[v] >= threshold
-                        ]
-                        if len(holds) != len(path.holds):
+                        if not all(map(in_scope.__getitem__, holds)):
                             if track:
                                 pruned_engagement += 1
                             continue  # a hold left the scope: no clique survives
-                        pivots = [
-                            v for v in path.pivots if engagement[v] >= threshold
-                        ]
-                        need = k - len(holds)
-                        if need < 0 or need > len(pivots):
+                        kept = list(
+                            compress(pivots, map(in_scope.__getitem__, pivots))
+                        )
+                        if need < 0 or need > len(kept):
                             if track:
                                 pruned_engagement += 1
                             continue
                         if track:
-                            pivots_dropped += len(path.pivots) - len(pivots)
+                            pivots_dropped += len(pivots) - len(kept)
+                        pivots = kept
                         count = comb(len(pivots), need)
                         for v in holds:
                             new_engagement[v] += count
@@ -353,8 +346,7 @@ def _sctl_star_run(
                                 for v in pivots:
                                     new_engagement[v] += pivot_count
                     else:
-                        holds, pivots = path.holds, path.pivots
-                        count = path.clique_count(k)
+                        count = comb(len(pivots), need) if need >= 0 else 0
                     processed += count
                     if use_batch:
                         updates += batch_update(weights, holds, pivots, k)
@@ -373,7 +365,7 @@ def _sctl_star_run(
             if use_reductions:
                 engagement = new_engagement
             # re-extract to tighten the achieved density (Line 12)
-            prefix = best_prefix_from_paths(paths, weights, k)
+            prefix = best_prefix_from_paths(source, weights, k)
         if prefix.density_fraction > best_density:
             best_density = prefix.density_fraction
             best_vertices = sorted(prefix.vertices)
@@ -511,33 +503,26 @@ def _parallel_refine_sweep(
     weights: List[int],
     use_reductions: bool,
     use_batch: bool,
-    engagement: Sequence[int],
-    threshold: int,
-    partition_of: Sequence[int],
-    bounds,
-    best_density: Fraction,
+    in_scope: Optional[List[bool]],
+    live: Optional[List[bool]],
     new_engagement: List[int],
     budget: Budget,
 ):
     """One SCTL* sweep, phase A pooled and phase B applied in order.
 
-    The per-vertex scope tests are precomputed here (``in_scope`` /
-    ``bound_ok`` boolean tables, O(n)) so the workers replicate the
-    serial per-path filtering bit for bit without holding the evolving
-    weight vector.  Workers return survivors in path order plus additive
-    engagement deltas; this parent loop applies the weight updates over
-    the merged, ordered survivor stream — the update sequence is the
-    serial one, so the weights are byte-identical for any worker count.
+    The workers get the round's per-vertex scope tests (``in_scope`` and
+    the live-partition table, both ``None`` without reductions), so they
+    replicate the serial per-path filtering bit for bit without holding
+    the evolving weight vector.  Workers return survivors in path order
+    plus additive engagement deltas; this parent loop applies the weight
+    updates over the merged, ordered survivor stream — the update
+    sequence is the serial one, so the weights are byte-identical for
+    any worker count.
 
     The budget is polled once per merged chunk; exhaustion abandons the
     sweep (the caller rolls the weights back to the iteration entry, the
     same contract as the serial per-path poll).
     """
-    in_scope = None
-    bound_ok = None
-    if use_reductions:
-        in_scope = [e >= threshold for e in engagement]
-        bound_ok = [bounds[p] > best_density for p in partition_of]
     n_paths = 0
     processed = 0
     updates = 0
@@ -546,7 +531,7 @@ def _parallel_refine_sweep(
     pivots_dropped = 0
     exhausted: Optional[str] = None
     for surviving, engagement_delta, tallies in engine.refine_sweep(
-        k, in_scope, bound_ok
+        k, in_scope, live
     ):
         if budget.active:
             exhausted = budget.exceeded()
@@ -574,53 +559,47 @@ def _parallel_refine_sweep(
     )
 
 
-def _engagement_from_paths(
-    paths: Iterable[SCTPath], k: int, n: int
-) -> List[int]:
-    """Global ``|C_k(v, G)|`` accumulated from the collected paths."""
+def _engagement_from_paths(paths: QueryPaths, k: int, n: int) -> List[int]:
+    """Global ``|C_k(v, G)|`` accumulated over the query's paths."""
     engagement = [0] * n
-    for path in paths:
-        count = path.clique_count(k)
-        if not count:
+    for holds, pivots in paths:
+        need = k - len(holds)
+        if need < 0 or need > len(pivots):
             continue
-        for v in path.holds:
+        count = comb(len(pivots), need)
+        for v in holds:
             engagement[v] += count
-        pivot_count = path.pivot_engagement(k)
-        if pivot_count:
-            for v in path.pivots:
-                engagement[v] += pivot_count
+        if need >= 1:
+            pivot_count = comb(len(pivots) - 1, need - 1)
+            if pivot_count:
+                for v in pivots:
+                    engagement[v] += pivot_count
     return engagement
 
 
 def _scope_snapshot(
-    index: SCTIndex,
+    source: QueryPaths,
     graph: Optional[Graph],
     k: int,
     iteration: int,
     n: int,
     use_reductions: bool,
-    engagement: Sequence[int],
-    threshold: int,
-    partition_of: Sequence[int],
-    bounds,
+    in_scope: Optional[List[bool]],
+    live: Optional[List[bool]],
     best_density: Fraction,
 ) -> IterationStats:
     """Measure the search scope entering this iteration (Table 4 columns)."""
     if not use_reductions:
         scope = list(range(n))
     else:
-        scope = [
-            v
-            for v in range(n)
-            if engagement[v] >= threshold and bounds[partition_of[v]] > best_density
-        ]
+        scope = [v for v in range(n) if in_scope[v] and live[v]]
     scope_edges = None
     if graph is not None:
         inside = set(scope)
         scope_edges = sum(
             1 for u in scope for w in graph.neighbors(u) if u < w and w in inside
         )
-    scope_cliques = index.count_in_subset(k, scope)
+    scope_cliques = count_in_subset(source, k, scope)
     return IterationStats(
         iteration=iteration,
         scope_vertices=len(scope),

@@ -10,8 +10,6 @@ together make the whole pipeline shardable with a *deterministic* merge:
 * :class:`PathShardEngine` — a pool over contiguous root-range chunks;
   results stream back in chunk order, so any consumer that folds them
   sequentially reproduces the serial result byte for byte;
-* :class:`ParallelPathView` — a re-iterable path stream with the exact
-  serial path order, a drop-in for :class:`~repro.core.SCTPathView`;
 * :func:`~repro.parallel.build.parallel_build` — pool-backed
   :meth:`~repro.core.SCTIndex.build` (reached via
   ``options=RunOptions(parallel=...)``).
@@ -22,6 +20,6 @@ nothing at all.
 """
 
 from .config import ParallelConfig
-from .engine import ParallelPathView, PathShardEngine
+from .engine import PathShardEngine
 
-__all__ = ["ParallelConfig", "ParallelPathView", "PathShardEngine"]
+__all__ = ["ParallelConfig", "PathShardEngine"]

@@ -49,7 +49,7 @@ from .config import ParallelConfig
 # circular; the value is pinned by the v2 format, see core/sct_format.py)
 ITEMSIZE = 8
 
-__all__ = ["PathShardEngine", "ParallelPathView"]
+__all__ = ["PathShardEngine"]
 
 # per-process worker state, populated by the pool initializer
 _WORKER_STATE: Dict[str, object] = {}
@@ -198,14 +198,14 @@ def _op_refine(index, lo, hi, k, enforce_support, payload):
     """Phase A of one SCTL* refinement sweep, over one chunk.
 
     Replicates the serial per-path filtering exactly: connectivity bound
-    (``bound_ok`` indexed by the path's first hold), engagement filter
-    (``in_scope``), then Lemma-2 counting.  Weight updates are *not*
+    (the round's live-partition table ``live``, indexed by the path's
+    first hold), engagement filter (``in_scope``), then Lemma-2 counting.  Weight updates are *not*
     applied here — order matters for byte-parity, so the parent applies
     them over the merged, ordered stream of survivors (phase B).
     ``payload=(None, None)`` is the no-reductions mode: every path
     survives with its raw holds/pivots.
     """
-    in_scope, bound_ok = payload
+    in_scope, live = payload
     surviving: List[Tuple[Tuple[int, ...], Tuple[int, ...], int]] = []
     engagement_delta: Dict[int, int] = {}
     n_paths = 0
@@ -219,7 +219,7 @@ def _op_refine(index, lo, hi, k, enforce_support, payload):
         if in_scope is None:
             surviving.append((path.holds, path.pivots, path.clique_count(k)))
             continue
-        if not bound_ok[path.holds[0]]:
+        if not live[path.holds[0]]:
             pruned_connectivity += 1
             continue
         holds = [v for v in path.holds if in_scope[v]]
@@ -618,13 +618,6 @@ class PathShardEngine:
                     done += 1
                 return
 
-    def path_view(
-        self, k: Optional[int], enforce_support: bool = True
-    ) -> "ParallelPathView":
-        if k is not None and enforce_support:
-            self._index._require_k(k)
-        return ParallelPathView(self, k, enforce_support)
-
     def count_cliques(self, k: int) -> Tuple[int, int]:
         """``(n_paths, n_cliques)`` across all chunks."""
         n_paths = 0
@@ -642,9 +635,9 @@ class PathShardEngine:
                 counts[v] += c
         return counts
 
-    def refine_sweep(self, k: int, in_scope, bound_ok) -> Iterator:
+    def refine_sweep(self, k: int, in_scope, live) -> Iterator:
         """Phase-A refinement over all chunks (see :func:`_op_refine`)."""
-        return self.map("refine", k, payload=(in_scope, bound_ok))
+        return self.map("refine", k, payload=(in_scope, live))
 
     def close(self) -> None:
         """Tear the pool down and release the broadcast block (idempotent)."""
@@ -689,34 +682,3 @@ def _release_shm(shm: shared_memory.SharedMemory) -> None:
         shm.unlink()
     except FileNotFoundError:
         pass
-
-
-class ParallelPathView:
-    """Re-iterable path stream through an engine, in exact serial order.
-
-    A drop-in for :class:`~repro.core.SCTPathView`: every ``iter()``
-    launches one pooled sweep whose chunk results are merged in order.
-    The view borrows the engine — closing the engine invalidates it.
-    """
-
-    __slots__ = ("_engine", "_k", "_enforce_support")
-
-    def __init__(self, engine: PathShardEngine, k: Optional[int], enforce_support: bool):
-        self._engine = engine
-        self._k = k
-        self._enforce_support = enforce_support
-
-    def __iter__(self):
-        from ..core.sct import SCTPath
-
-        if not self._engine.has_chunks:
-            yield from self._engine.index.iter_paths(
-                self._k, enforce_support=self._enforce_support
-            )
-            return
-        for chunk in self._engine.map("paths", self._k, self._enforce_support):
-            for holds, pivots in chunk:
-                yield SCTPath(holds, pivots)
-
-    def __repr__(self) -> str:
-        return f"ParallelPathView(k={self._k}, engine={self._engine!r})"

@@ -37,6 +37,7 @@ __all__ = ["Fault", "FaultInjected", "FaultPlan", "PIPELINE_STAGES"]
 PIPELINE_STAGES: Tuple[str, ...] = (
     "index/build",
     "ordered_view",
+    "refine/path_table",
     "reductions/engagement",
     "reductions/kp_computation",
     "refine/iteration",

@@ -233,6 +233,42 @@ class TestPipelineMetrics:
         for t in range(1, 5):
             assert f"refine/iteration/{t}" in totals
 
+    def test_path_table_span_and_counters(self, graph):
+        index = SCTIndex.build(graph)
+        rec = MetricsRecorder()
+        sctl_star(index, 3, iterations=2, options=RunOptions(recorder=rec))
+        assert "refine/path_table" in rec.span_totals()
+        paths = index.collect_paths(3)
+        assert rec.counters["refine/path_table_rows"] == len(paths)
+        assert rec.counters["refine/path_table_entries"] == sum(
+            len(p) + 2 for p in paths
+        )
+        assert "refine/path_table_streamed" not in rec.counters
+
+    def test_streamed_path_table_is_counted_and_logged(self):
+        # K_{14x2} at k=14: the table would outgrow the index, so the
+        # query streams — a degradation with a counter and an event
+        edges = [
+            (u, v) for u in range(28) for v in range(u + 1, 28)
+            if u // 2 != v // 2
+        ]
+        index = SCTIndex.build(Graph.from_edges(edges))
+        sink = io.StringIO()
+        rec = MetricsRecorder(sink=sink)
+        sctl(index, 14, iterations=1, options=RunOptions(recorder=rec))
+        assert rec.counters["refine/path_table_streamed"] == 1
+        assert "refine/path_table_rows" not in rec.counters
+        events = [
+            json.loads(line) for line in sink.getvalue().splitlines()
+            if '"path_table_streamed"' in line
+        ]
+        # 16 entries a row (14 vertices, a start and a hold count): the
+        # 14,415th row is the first past the cap of 230,637
+        assert [e["fields"] for e in events] == [
+            {"k": 14, "entries": 16 * 14415, "cap": 7 * index.n_tree_nodes + 1}
+        ]
+        assert validate_trace_lines(sink.getvalue().splitlines()) == []
+
     def test_sctl_iteration_metrics(self, graph):
         index = SCTIndex.build(graph)
         rec = MetricsRecorder()

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro import RunOptions
 from repro.core import SCTIndex
 from repro.core.profile import DensityProfile, density_profile
-from repro.errors import InvalidParameterError
+from repro.errors import IndexQueryError, InvalidParameterError
 from repro.graph import Graph, relaxed_caveman_graph
+from repro.graph.generators import overlapping_community_graph
+from repro.obs import MetricsRecorder
 
 
 class TestDensityProfile:
@@ -23,6 +26,22 @@ class TestDensityProfile:
         index = SCTIndex.build(caveman)
         with pytest.raises(InvalidParameterError):
             density_profile(index, k_values=[0])
+
+    @pytest.mark.parametrize(
+        "k_values, error",
+        [([5, 6, 4], IndexQueryError), ([5, 6, 0], InvalidParameterError)],
+    )
+    def test_every_k_checked_before_the_first_run(self, k_values, error):
+        graph = overlapping_community_graph(
+            600, 40, 20, 0.55, memberships=2, seed=1
+        )
+        index = SCTIndex.build(graph, threshold=5)
+        rec = MetricsRecorder()
+        with pytest.raises(error):
+            density_profile(
+                index, k_values, iterations=3, options=RunOptions(recorder=rec)
+            )
+        assert not any(path.startswith("profile/k/") for path in rec.span_totals())
 
     def test_densest_k_picks_max(self):
         g = relaxed_caveman_graph(5, 7, 0.05, seed=1)

@@ -1,15 +1,20 @@
-"""Streaming mode vs pre-collected ``paths=`` mode: results must be identical.
+"""The index's own paths vs pre-collected ``paths=``: results must be identical.
 
-The SCTL family now streams root-to-leaf paths off the index per refinement
-pass instead of materialising them up front.  ``iter_paths`` traversal order
-is deterministic, so every sweep of an ``SCTPathView`` replays the exact
-sequence a collected list would — streaming must therefore change *nothing*
-observable: same vertices, same counts, same stats, same densities.
+An SCTL-family query fills one path table by one walk of the index, or —
+when the table would outgrow the index — walks the tree again on every
+sweep, packing the stream into bounded tables as it reads it.
+``iter_paths`` traversal order is deterministic, so either source replays
+the exact sequence a collected list would — the source must therefore
+change *nothing* observable: same vertices, same counts, same stats, same
+densities.
 """
+
+from itertools import combinations
 
 import pytest
 
 from repro.core import SCTIndex, sctl, sctl_plus, sctl_star, sctl_star_sample
+from repro.graph import Graph
 
 
 def _assert_identical(streamed, collected):
@@ -91,3 +96,30 @@ class TestPathViewReiteration:
         assert first == [
             (p.holds, p.pivots) for p in index.collect_paths(4)
         ]
+
+
+class TestStreamedTablesParity:
+    """K_{14x2} at k=14: a table would outgrow the index, so the streamed
+    side walks the tree per sweep and packs it into bounded tables."""
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        return SCTIndex.build(Graph.from_edges(
+            [(u, v) for u, v in combinations(range(28), 2) if u // 2 != v // 2]
+        ))
+
+    @pytest.mark.parametrize("fn", [sctl, sctl_plus, sctl_star])
+    def test_refinement(self, index, fn):
+        streamed = fn(index, 14, iterations=3)
+        collected = fn(index, 14, iterations=3, paths=index.collect_paths(14))
+        _assert_identical(streamed, collected)
+
+    def test_sample(self, index):
+        streamed = sctl_star_sample(
+            index, 14, sample_size=3000, iterations=3, seed=4
+        )
+        collected = sctl_star_sample(
+            index, 14, sample_size=3000, iterations=3, seed=4,
+            paths=index.collect_paths(14),
+        )
+        _assert_identical(streamed, collected)
