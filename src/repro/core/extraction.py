@@ -163,8 +163,9 @@ def best_prefix_from_cliques(
             rank[v] = i
         in_universe = set(universe)
     buckets = [0] * len(order)
+    rank_of = rank.__getitem__
     for clique in cliques:
-        if in_universe is not None and any(v not in in_universe for v in clique):
+        if in_universe is not None and not in_universe.issuperset(clique):
             continue
-        buckets[max(rank[v] for v in clique)] += 1
+        buckets[max(map(rank_of, clique))] += 1
     return _best_prefix(order, buckets)

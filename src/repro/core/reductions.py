@@ -13,7 +13,8 @@ to touch:
 * **Clique-engagement** — Lemma 4: once a density ``rho'`` has been
   *achieved* by some subgraph, no vertex with fewer than ``ceil(rho')``
   k-cliques can be in the optimal solution.  :func:`engagement_threshold`
-  converts a rational density into that integer cutoff.
+  converts a rational density into that integer cutoff, and
+  :func:`clique_core` applies the cut until it holds inside what is left.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence
+from math import comb
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..graph.disjoint_set import DisjointSet
 from ..obs import NULL_RECORDER, Recorder
 from ..options import RunOptions
-from .sct import SCTIndex, SCTPath, path_rows, query_paths
+from .sct import SCTIndex, SCTPath, add_engagement, path_rows, query_paths
 
 __all__ = [
     "KCliquePartition",
@@ -170,3 +172,81 @@ def live_partitions(
 def engagement_threshold(density: Fraction) -> int:
     """``ceil(density)`` — the Lemma 4 engagement cutoff for a density."""
     return -((-density.numerator) // density.denominator)
+
+
+def clique_core(paths, k: int, n: int, threshold: int) -> Tuple[List[int], int]:
+    """The ``(threshold, Psi)``-clique-core of Fang et al. and the number
+    of vertices peeled off after the first cut.
+
+    The core is the largest vertex set in which every vertex lies in at
+    least ``threshold`` k-cliques; with ``threshold = ceil(rho')`` for an
+    achieved ``rho'`` it is the scope Lemma 4 leaves, applied until it
+    holds inside itself.  ``paths`` — a query's path source or a path
+    table — is swept twice.  The first sweep counts every vertex's
+    engagement and cuts the vertices below ``threshold``; the second
+    keeps the rows inside that cut (every hold inside, pivots filtered)
+    and lists each vertex's rows.  Then one peel: removing a vertex kills
+    the rows it holds and takes one pivot off the rows it pivots, so a
+    row's hold share falls from ``C(p, t)`` to ``C(p-1, t)`` and its
+    pivot share from ``C(p-1, t-1)`` to ``C(p-2, t-1)``; a vertex that
+    falls below ``threshold`` is removed in turn.  The core is unique, so
+    the order of removal does not matter: the scope is the fixed point
+    of recounting inside the shrinking scope.  Returned sorted.
+    """
+    engagement = [0] * n
+    add_engagement(paths, k, engagement)
+    inside = [count >= threshold for count in engagement]
+    first_cut = sum(inside)
+    counts = [0] * n
+    rows: List[Tuple[Sequence[int], List[int]]] = []
+    add_engagement(paths, k, counts, inside, rows)
+    held: List[Optional[List[int]]] = [[] if keep else None for keep in inside]
+    pivoted: List[Optional[List[int]]] = [
+        [] if keep else None for keep in inside
+    ]
+    sizes: List[int] = []
+    needs: List[int] = []
+    for r, (holds, pivots) in enumerate(rows):
+        for v in holds:
+            held[v].append(r)
+        t = k - len(holds)
+        if t:  # a row with every hold of a clique ignores its pivots
+            for v in pivots:
+                pivoted[v].append(r)
+        sizes.append(len(pivots))
+        needs.append(t)
+    live = [True] * len(rows)
+    stack = [v for v in range(n) if inside[v] and counts[v] < threshold]
+    for v in stack:
+        inside[v] = False
+
+    def drop(vertices: Iterable[int], share: int) -> None:
+        for u in vertices:
+            if inside[u]:
+                counts[u] -= share
+                if counts[u] < threshold:
+                    inside[u] = False
+                    stack.append(u)
+
+    while stack:
+        v = stack.pop()
+        for r in held[v]:
+            if live[r]:
+                live[r] = False
+                holds, pivots = rows[r]
+                p, t = sizes[r], needs[r]
+                drop(holds, comb(p, t))
+                if t:
+                    drop(pivots, comb(p - 1, t - 1))
+        for r in pivoted[v]:
+            if live[r]:
+                holds, pivots = rows[r]
+                p, t = sizes[r], needs[r]
+                sizes[r] = p - 1
+                drop(holds, comb(p - 1, t - 1))
+                if t > 1:
+                    drop(pivots, comb(p - 2, t - 2))
+                if p == t:  # the row's last clique needed v
+                    live[r] = False
+    scope = [v for v in range(n) if inside[v]]
+    return scope, first_cut - len(scope)

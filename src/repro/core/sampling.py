@@ -234,9 +234,6 @@ def sctl_star_sample(
     if iterations < 1:
         raise InvalidParameterError(f"iterations must be >= 1, got {iterations}")
     opts = RunOptions.resolve(options)
-    recorder = opts.recorder
-    budget = opts.budget
-    rng = random.Random(seed)
     # §6.1: a partial SCT*-k'-Index may be queried below its threshold;
     # the sample then misses cliques in pruned subtrees, but "most
     # k-cliques in the densest subgraph come from larger cliques"
@@ -245,10 +242,29 @@ def sctl_star_sample(
         index, k, paths, enforce_support=not partial_approximation,
         options=opts,
     )
+    return _sctl_star_sample_run(
+        index, k, sample_size, iterations, seed, use_reduction, source, opts
+    )
+
+
+def _sctl_star_sample_run(
+    index: SCTIndex,
+    k: int,
+    sample_size: int,
+    iterations: int,
+    seed: int,
+    use_reduction: bool,
+    source: QueryPaths,
+    opts: RunOptions,
+) -> DenseSubgraphResult:
+    """The three stages behind :func:`sctl_star_sample`, over an open
+    path source; its engine is closed once the draw is done, and its
+    table stays readable for the caller."""
+    recorder = opts.recorder
+    budget = opts.budget
+    rng = random.Random(seed)
     try:
-        sampled = sample_k_cliques(
-            source, k, sample_size, rng, options=opts
-        )
+        sampled = sample_k_cliques(source, k, sample_size, rng, options=opts)
     except BudgetExhausted as exc:
         if recorder.enabled:
             recorder.counter("budget/exhausted")
@@ -298,6 +314,8 @@ def sctl_star_sample(
                 else 0
             )
             new_engagement = [0] * n if use_reduction else engagement
+            engagement_of = engagement.__getitem__
+            weight_of = weights.__getitem__
             swept = 0
             for clique in sampled:
                 swept += 1
@@ -305,9 +323,9 @@ def sctl_star_sample(
                     exhausted = budget.exceeded()
                     if exhausted:
                         break
-                if threshold and any(engagement[v] < threshold for v in clique):
+                if threshold and min(map(engagement_of, clique)) < threshold:
                     continue
-                u = min(clique, key=weights.__getitem__)
+                u = min(clique, key=weight_of)
                 weights[u] += 1
                 visited_total += 1
                 if use_reduction:
@@ -361,7 +379,7 @@ def sctl_star_sample(
         "sample_density": float(rho_sample),
         "clique_visits": visited_total,
         "weights": weights,
-        "partial_index_approximation": partial_approximation,
+        "partial_index_approximation": not source.enforce_support,
     }
     if exhausted:
         if recorder.enabled:

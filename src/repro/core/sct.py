@@ -38,7 +38,7 @@ import time
 import weakref
 from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from math import comb
 from typing import Dict, IO, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -1154,7 +1154,7 @@ class SCTIndex:
 
         Each path contributes ``C(|P|, k-|H|)`` to every hold and
         ``C(|P|-1, k-|H|-1)`` to every pivot (a pivot is optional, so it
-        misses the cliques that skip it).
+        misses the cliques that skip it); see :func:`add_engagement`.
         """
         opts = RunOptions.resolve(options)
         self._require_k(k)
@@ -1165,16 +1165,7 @@ class SCTIndex:
                 if engine.has_chunks:
                     return engine.vertex_counts(k)
         counts = [0] * self._n_vertices
-        for path in self.iter_paths(k):
-            total = path.clique_count(k)
-            if not total:
-                continue
-            for v in path.holds:
-                counts[v] += total
-            with_pivot = path.pivot_engagement(k)
-            if with_pivot:
-                for v in path.pivots:
-                    counts[v] += with_pivot
+        add_engagement(self._iter_leaf_buffers(k), k, counts)
         return counts
 
     def count_in_subset(
@@ -1199,24 +1190,15 @@ class SCTIndex:
     ) -> Dict[int, int]:
         """Engagement ``|C_k(v, G[allowed])|`` for each allowed vertex."""
         self._require_k(k)
+        n = self._n_vertices
         allowed_set: Set[int] = set(allowed)
-        counts: Dict[int, int] = {v: 0 for v in allowed_set}
-        for path in self.iter_paths(k):
-            if any(h not in allowed_set for h in path.holds):
-                continue
-            pivots_in = [v for v in path.pivots if v in allowed_set]
-            need = k - len(path.holds)
-            if need < 0 or need > len(pivots_in):
-                continue
-            hold_share = comb(len(pivots_in), need)
-            for v in path.holds:
-                counts[v] += hold_share
-            if need >= 1:
-                pivot_share = comb(len(pivots_in) - 1, need - 1)
-                if pivot_share:
-                    for v in pivots_in:
-                        counts[v] += pivot_share
-        return counts
+        in_scope = [False] * n
+        for v in allowed_set:
+            if 0 <= v < n:
+                in_scope[v] = True
+        counts = [0] * n
+        add_engagement(self._iter_leaf_buffers(k), k, counts, in_scope)
+        return {v: counts[v] if 0 <= v < n else 0 for v in allowed_set}
 
     def iter_k_cliques(self, k: int) -> Iterator[Tuple[int, ...]]:
         """Yield every k-clique by expanding the paths (listing query)."""
@@ -1653,6 +1635,43 @@ def path_rows(paths) -> Iterator[Tuple[Sequence[int], Sequence[int]]]:
     if isinstance(paths, (QueryPaths, SCTPathTable)):
         return iter(paths)
     return chain.from_iterable(_packed((p.holds, p.pivots) for p in paths))
+
+
+def add_engagement(
+    rows: Iterable[Tuple[Sequence[int], Sequence[int]]],
+    k: int,
+    counts: List[int],
+    in_scope: Optional[Sequence[bool]] = None,
+    kept: Optional[List[Tuple[Sequence[int], List[int]]]] = None,
+) -> None:
+    """Add the k-clique engagement of every ``(holds, pivots)`` row to
+    ``counts``, indexed by vertex.
+
+    A row with ``p`` pivots holds ``C(p, t)`` k-cliques, ``t = k - |holds|``
+    (Lemma 2): each hold is in all of them, each pivot in ``C(p-1, t-1)``.
+    With ``in_scope`` (one flag per vertex) a row counts only when every
+    hold is in scope, and only its in-scope pivots count.  ``kept``
+    receives ``(holds, in-scope pivots)`` for every row that counted;
+    rows must then not be live buffers.
+    """
+    for holds, pivots in rows:
+        if in_scope is not None:
+            if not all(map(in_scope.__getitem__, holds)):
+                continue
+            pivots = list(compress(pivots, map(in_scope.__getitem__, pivots)))
+        t = k - len(holds)
+        p = len(pivots)
+        if t < 0 or t > p:
+            continue
+        share = comb(p, t)
+        for v in holds:
+            counts[v] += share
+        if t:
+            share = comb(p - 1, t - 1)
+            for v in pivots:
+                counts[v] += share
+        if kept is not None:
+            kept.append((holds, pivots))
 
 
 def count_in_subset(paths, k: int, allowed: Iterable[int]) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import comb
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidParameterError
 from ..graph.graph import Graph
@@ -42,7 +42,14 @@ from .reductions import (
     live_partitions,
     partition_density_bounds,
 )
-from .sct import QueryPaths, SCTIndex, SCTPath, count_in_subset, query_paths
+from .sct import (
+    QueryPaths,
+    SCTIndex,
+    SCTPath,
+    add_engagement,
+    count_in_subset,
+    query_paths,
+)
 from .sctl import _validated_warm_start, empty_result
 
 __all__ = ["IterationStats", "sctl_star", "sctl_plus"]
@@ -173,7 +180,7 @@ def sctl_star(
             index, k, iterations, warm_start, graph, use_reductions,
             use_batch, collect_stats, source, name, opts.recorder,
             opts.budget, ckpt, opts.resume,
-        )
+        )[0]
 
 
 def _sctl_star_run(
@@ -191,9 +198,19 @@ def _sctl_star_run(
     budget: Budget,
     ckpt: Optional[Checkpointer],
     resume: bool,
-) -> DenseSubgraphResult:
+    state: Optional[dict] = None,
+) -> Tuple[DenseSubgraphResult, Optional[dict]]:
+    """The refinement behind :func:`sctl_star`, over an open path source.
+
+    Returns the result and, when every iteration ran, the final round
+    state — what a checkpoint holds.  Given such a ``state`` (of the same
+    variant, ``k`` and source), the run continues after its iteration
+    instead of starting at 1, through the checkpoint-resume restore: a
+    round is a deterministic function of that state, so the answer is
+    byte-identical to a fresh run of ``iterations``.
+    """
     if source.empty:
-        return empty_result(k, name)
+        return empty_result(k, name), None
     n = index.n_vertices
     engine = source.engine
 
@@ -209,7 +226,8 @@ def _sctl_star_run(
     engagement: List[int] = []
     if use_reductions:
         with recorder.span("reductions/engagement"):
-            engagement = _engagement_from_paths(source, k, n)
+            engagement = [0] * n
+            add_engagement(source, k, engagement)
         partition = kp_computation(
             index, k, paths=source, options=RunOptions(recorder=recorder)
         )
@@ -224,7 +242,8 @@ def _sctl_star_run(
     total_processed = 0
     n_paths = 0
     start_iteration = 1
-    if resume and ckpt is not None:
+    payload = state
+    if payload is None and resume and ckpt is not None:
         payload = ckpt.load(_CHECKPOINT_KIND)
         if payload is not None:
             require_match(
@@ -238,19 +257,21 @@ def _sctl_star_run(
                 },
                 _CHECKPOINT_KIND,
             )
-            weights = payload["weights"]
-            if use_reductions:
-                engagement = payload["engagement"]
-            best_vertices = payload["best_vertices"]
-            best_count = payload["best_count"]
-            best_density = Fraction(
-                payload["best_density_num"], payload["best_density_den"]
-            )
-            total_updates = payload["total_updates"]
-            total_processed = payload["total_processed"]
-            start_iteration = payload["iteration"] + 1
             if track:
                 recorder.counter("checkpoint/resumed")
+    if payload is not None:
+        # a copy: a continued run must not write into the last run's result
+        weights = list(payload["weights"])
+        if use_reductions:
+            engagement = payload["engagement"]
+        best_vertices = payload["best_vertices"]
+        best_count = payload["best_count"]
+        best_density = Fraction(
+            payload["best_density_num"], payload["best_density_den"]
+        )
+        total_updates = payload["total_updates"]
+        total_processed = payload["total_processed"]
+        start_iteration = payload["iteration"] + 1
 
     def _state(iteration: int) -> dict:
         return {
@@ -450,7 +471,7 @@ def _sctl_star_run(
         )
         if collect_stats:
             result.stats["iterations"] = per_iteration
-        return result
+        return result, None
     if ckpt is not None:
         ckpt.clear(_CHECKPOINT_KIND)
     upper = max(max(weights) / iterations, float(best_density))
@@ -465,7 +486,7 @@ def _sctl_star_run(
     )
     if collect_stats:
         result.stats["iterations"] = per_iteration
-    return result
+    return result, _state(iterations)
 
 
 def sctl_plus(
@@ -557,24 +578,6 @@ def _parallel_refine_sweep(
         n_paths, processed, updates, pruned_connectivity,
         pruned_engagement, pivots_dropped, exhausted,
     )
-
-
-def _engagement_from_paths(paths: QueryPaths, k: int, n: int) -> List[int]:
-    """Global ``|C_k(v, G)|`` accumulated over the query's paths."""
-    engagement = [0] * n
-    for holds, pivots in paths:
-        need = k - len(holds)
-        if need < 0 or need > len(pivots):
-            continue
-        count = comb(len(pivots), need)
-        for v in holds:
-            engagement[v] += count
-        if need >= 1:
-            pivot_count = comb(len(pivots) - 1, need - 1)
-            if pivot_count:
-                for v in pivots:
-                    engagement[v] += pivot_count
-    return engagement
 
 
 def _scope_snapshot(

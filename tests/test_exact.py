@@ -5,7 +5,11 @@ import pytest
 from repro.baselines import core_exact, kcl_exact
 from repro.cliques import count_k_cliques_naive, densest_subgraph_bruteforce
 from repro.core import SCTIndex, sctl_star_exact
+from repro.errors import IndexQueryError, InvalidParameterError
 from repro.graph import Graph, gnp_graph, planted_near_cliques_graph
+from repro.graph.generators import overlapping_community_graph
+from repro.obs import MetricsRecorder
+from repro.options import RunOptions
 
 
 class TestCorrectness:
@@ -60,3 +64,62 @@ class TestStats:
         assert result.stats["scope_cliques"] >= result.clique_count
         assert result.stats["flow_rounds"] >= 1
         assert result.upper_bound == pytest.approx(result.density)
+
+
+class TestArgumentChecks:
+    """A caller's mistake is rejected before any work: no stage opens."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return overlapping_community_graph(
+            300, 20, 16, 0.5, memberships=2, seed=3
+        )
+
+    @pytest.fixture(scope="class")
+    def index(self, graph):
+        return SCTIndex.build(graph)
+
+    @staticmethod
+    def stages_opened(error, graph, k, **kwargs):
+        rec = MetricsRecorder()
+        with pytest.raises(error):
+            sctl_star_exact(
+                graph, k, options=RunOptions(recorder=rec), **kwargs
+            )
+        return [
+            path for path in rec.iter_span_paths()
+            if path.startswith(("exact/", "index/build"))
+        ]
+
+    @pytest.mark.parametrize("max_rounds", [0, -1])
+    def test_max_rounds(self, graph, index, max_rounds):
+        assert self.stages_opened(
+            InvalidParameterError, graph, 4, index=index,
+            max_rounds=max_rounds,
+        ) == []
+
+    @pytest.mark.parametrize("argument", ["iterations", "sample_size"])
+    def test_counts_with_index(self, graph, index, argument):
+        assert self.stages_opened(
+            InvalidParameterError, graph, 4, index=index, **{argument: 0}
+        ) == []
+
+    @pytest.mark.parametrize("argument", ["iterations", "sample_size"])
+    def test_counts_before_build(self, graph, argument):
+        assert self.stages_opened(
+            InvalidParameterError, graph, 4, **{argument: 0}
+        ) == []
+
+    def test_k_below_one(self, graph, index):
+        assert self.stages_opened(
+            InvalidParameterError, graph, 0, index=index
+        ) == []
+
+    def test_partial_index_below_threshold(self):
+        graph = overlapping_community_graph(
+            600, 40, 20, 0.55, memberships=2, seed=1
+        )
+        partial = SCTIndex.build(graph, threshold=6)
+        assert self.stages_opened(
+            IndexQueryError, graph, 5, index=partial
+        ) == []

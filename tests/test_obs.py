@@ -315,6 +315,12 @@ class TestPipelineMetrics:
         assert rec.counters["refine/iterations"] > 0
         assert rec.counters["exact/flow_rounds"] >= 1
         assert rec.counters["exact/scope_vertices"] > 0
+        # the peel removes vertices after the first Lemma 4 cut, which
+        # count among those dropped; a one-pass peel has no rounds
+        assert 0 <= rec.counters["exact/peeled_vertices"] <= (
+            rec.counters["exact/vertices_dropped"]
+        )
+        assert "exact/fixed_point_rounds" not in rec.counters
         assert rec.gauges["exact/density"] == pytest.approx(
             float(result.density_fraction)
         )
