@@ -255,7 +255,7 @@ def sctl_star_exact(
             ):
                 # continue the last round's refinement up to the doubled T
                 refined, state = _sctl_star_run(
-                    sub_index, k, current_iterations, warm_start=None,
+                    sub_index, k, current_iterations, seed=None,
                     graph=None, use_reductions=True, use_batch=True,
                     collect_stats=False, source=sub_source, name="SCTL*",
                     recorder=recorder, budget=budget, ckpt=None, resume=False,

@@ -299,6 +299,7 @@ def _sctl_star_sample_run(
         sampled_vertices = sorted({v for c in sampled for v in c})
         rho_sample = Fraction(0)
         visited_total = 0
+        prefix = None  # the extraction from the last completed pass
         for _ in range(iterations):
             if budget.active:
                 exhausted = budget.exceeded()
@@ -350,11 +351,14 @@ def _sctl_star_sample_run(
             recorder.counter("sample/vertices", len(sampled_vertices))
             recorder.gauge("sample/sample_density", float(rho_sample))
 
-    # stage 3: recovery of the true density through the index
+    # stage 3: recovery of the true density through the index; a rolled
+    # back pass restores the last completed pass's weights, so that
+    # pass's prefix still applies
     with recorder.span("sample/recover"):
-        prefix = best_prefix_from_cliques(
-            sampled, weights, restrict_to=sampled_vertices
-        )
+        if prefix is None:
+            prefix = best_prefix_from_cliques(
+                sampled, weights, restrict_to=sampled_vertices
+            )
         chosen = sorted(prefix.vertices)
         if not chosen:
             if exhausted:

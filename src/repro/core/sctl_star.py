@@ -2,7 +2,7 @@
 
 Algorithm 5 of the paper.  Relative to plain SCTL, two optimisations apply
 per iteration, each independently switchable so the benchmark suite can
-reproduce the paper's SCTL / SCTL+ / SCTL* ladder:
+run the paper's SCTL+ / SCTL* ladder:
 
 * ``use_reductions`` — clique-connectivity pruning (skip any path whose
   partition's Lemma 3 density bound is dominated by the best density found
@@ -16,6 +16,11 @@ reproduce the paper's SCTL / SCTL+ / SCTL* ladder:
 The best density found so far is always an *achieved* density (it starts
 from a maximum clique fetched off the index and is re-extracted from the
 weights each iteration), so both reductions are lossless for the optimum.
+With both switches off the rounds are SCTL's, but the answer is still
+this rule's best prefix over every round, seeded with a maximum clique,
+so it can differ from :func:`~repro.core.sctl.sctl`'s.  That function runs
+the same round loop (:func:`_sctl_star_run`) under Algorithm 2's answer
+rule instead: the prefix of the last completed round's weights.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ __all__ = ["IterationStats", "sctl_star", "sctl_plus"]
 logger = logging.getLogger(__name__)
 
 _CHECKPOINT_KIND = "sctl-star-weights"
+_SCTL_CHECKPOINT_KIND = "sctl-weights"
 
 
 @dataclass
@@ -114,8 +120,11 @@ def sctl_star(
         The underlying graph; only needed when ``collect_stats`` asks for
         scope edge counts.
     use_reductions / use_batch:
-        Toggle the two §5 optimisations (both off reproduces SCTL;
-        reductions only reproduces the paper's SCTL+).
+        Toggle the two §5 optimisations (reductions only is the paper's
+        SCTL+).  Both off runs SCTL's rounds, but not its answer: this
+        rule seeds the best density with a maximum clique and re-extracts
+        every round, so the result can differ from
+        :func:`~repro.core.sctl.sctl`'s.
     collect_stats:
         Record :class:`IterationStats` per iteration (slower: it counts
         scope edges and cliques); stored in ``result.stats["iterations"]``.
@@ -158,17 +167,18 @@ def sctl_star(
           from the initial engagement, so the resumed run matches an
           uninterrupted one exactly.
         * ``parallel`` with more than one worker fills the path table
-          from the pool's ordered stream and runs each refinement sweep's
-          path filtering and counting (phase A) over disjoint contiguous
-          path shards in the pool, while the weight updates (phase B)
-          are applied here in serial path order — byte-identical results
-          for any worker count.  The budget is then polled per merged
-          chunk instead of per path.
+          from the pool's ordered stream.  A query whose table is kept
+          reads it in this process every round.  One that streams runs
+          each refinement sweep's path filtering and counting (phase A)
+          over disjoint contiguous path shards in the pool, while the
+          weight updates (phase B) are applied here in serial path
+          order; its budget is then polled per merged chunk instead of
+          per path.  Results are byte-identical for any worker count.
     """
     if iterations < 1:
         raise InvalidParameterError(f"iterations must be >= 1, got {iterations}")
+    seed = _validated_warm_start(warm_start, index.n_vertices)
     opts = RunOptions.resolve(options)
-    ckpt = Checkpointer.ensure(opts.checkpoint)
     name = algorithm_name or (
         "SCTL*" if (use_reductions and use_batch)
         else "SCTL+" if use_reductions
@@ -177,9 +187,9 @@ def sctl_star(
     )
     with query_paths(index, k, paths, options=opts) as source:
         return _sctl_star_run(
-            index, k, iterations, warm_start, graph, use_reductions,
-            use_batch, collect_stats, source, name, opts.recorder,
-            opts.budget, ckpt, opts.resume,
+            index, k, iterations, seed, graph, use_reductions, use_batch,
+            collect_stats, source, name, opts.recorder, opts.budget,
+            Checkpointer.ensure(opts.checkpoint), opts.resume,
         )[0]
 
 
@@ -187,7 +197,7 @@ def _sctl_star_run(
     index: SCTIndex,
     k: int,
     iterations: int,
-    warm_start: Optional[Sequence[int]],
+    seed: Optional[List[int]],
     graph: Optional[Graph],
     use_reductions: bool,
     use_batch: bool,
@@ -199,8 +209,18 @@ def _sctl_star_run(
     ckpt: Optional[Checkpointer],
     resume: bool,
     state: Optional[dict] = None,
+    plain_sctl: bool = False,
+    track_convergence: bool = False,
 ) -> Tuple[DenseSubgraphResult, Optional[dict]]:
-    """The refinement behind :func:`sctl_star`, over an open path source.
+    """The refinement round loop behind :func:`sctl_star` and
+    :func:`~repro.core.sctl.sctl`, over an open path source.
+
+    ``seed`` is a validated warm start (a fresh list the run may write
+    into).  ``plain_sctl`` selects Algorithm 2's answer rule: no
+    maximum-clique seed, no extraction between rounds unless
+    ``track_convergence`` records one per round, and the answer is the
+    prefix of the last completed round's weights — empty and invalid
+    when no round completed.  It checkpoints as ``sctl-weights``.
 
     Returns the result and, when every iteration ran, the final round
     state — what a checkpoint holds.  Given such a ``state`` (of the same
@@ -212,14 +232,23 @@ def _sctl_star_run(
     if source.empty:
         return empty_result(k, name), None
     n = index.n_vertices
-    engine = source.engine
+    # pool phase A only when the query streams: a pooled walk ships every
+    # row to this process anyway, while a kept table is read faster here
+    engine = source.engine if source.table is None else None
+    kind = _SCTL_CHECKPOINT_KIND if plain_sctl else _CHECKPOINT_KIND
+    identity = {"algorithm": name, "k": k, "n": n}
+    if not plain_sctl:
+        identity.update(use_reductions=use_reductions, use_batch=use_batch)
 
-    # initial achieved solution: a maximum clique straight off the index
-    best_vertices = index.a_maximum_clique()
-    best_count = comb(len(best_vertices), k)
-    best_density = Fraction(best_count, len(best_vertices))
+    best_vertices: List[int] = []
+    best_count = 0
+    best_density = Fraction(0)
+    if not plain_sctl:
+        # initial achieved solution: a maximum clique straight off the index
+        best_vertices = index.a_maximum_clique()
+        best_count = comb(len(best_vertices), k)
+        best_density = Fraction(best_count, len(best_vertices))
 
-    seed = _validated_warm_start(warm_start, n)
     weights = seed if seed is not None else [0] * n
     partition_of: List[int] = []
     bounds = {}
@@ -237,60 +266,52 @@ def _sctl_star_run(
         )
 
     per_iteration: List[IterationStats] = []
+    density_history: List[float] = []
+    upper_history: List[float] = []
     track = recorder.enabled
     total_updates = 0
     total_processed = 0
-    n_paths = 0
     start_iteration = 1
     payload = state
     if payload is None and resume and ckpt is not None:
-        payload = ckpt.load(_CHECKPOINT_KIND)
+        payload = ckpt.load(kind)
         if payload is not None:
-            require_match(
-                payload,
-                {
-                    "algorithm": name,
-                    "k": k,
-                    "n": n,
-                    "use_reductions": use_reductions,
-                    "use_batch": use_batch,
-                },
-                _CHECKPOINT_KIND,
-            )
+            require_match(payload, identity, kind)
             if track:
                 recorder.counter("checkpoint/resumed")
     if payload is not None:
         # a copy: a continued run must not write into the last run's result
         weights = list(payload["weights"])
-        if use_reductions:
-            engagement = payload["engagement"]
-        best_vertices = payload["best_vertices"]
-        best_count = payload["best_count"]
-        best_density = Fraction(
-            payload["best_density_num"], payload["best_density_den"]
-        )
-        total_updates = payload["total_updates"]
-        total_processed = payload["total_processed"]
         start_iteration = payload["iteration"] + 1
+        if not plain_sctl:
+            if use_reductions:
+                engagement = payload["engagement"]
+            best_vertices = payload["best_vertices"]
+            best_count = payload["best_count"]
+            best_density = Fraction(
+                payload["best_density_num"], payload["best_density_den"]
+            )
+            total_updates = payload["total_updates"]
+            total_processed = payload["total_processed"]
 
     def _state(iteration: int) -> dict:
-        return {
-            "algorithm": name,
-            "k": k,
-            "n": n,
-            "use_reductions": use_reductions,
-            "use_batch": use_batch,
-            "iteration": iteration,
-            "weights": weights,
-            "engagement": engagement if use_reductions else [],
-            "best_vertices": best_vertices,
-            "best_count": best_count,
-            "best_density_num": best_density.numerator,
-            "best_density_den": best_density.denominator,
-            "total_updates": total_updates,
-            "total_processed": total_processed,
-        }
+        snapshot = dict(identity, iteration=iteration, weights=weights)
+        if not plain_sctl:
+            snapshot.update(
+                engagement=engagement if use_reductions else [],
+                best_vertices=best_vertices,
+                best_count=best_count,
+                best_density_num=best_density.numerator,
+                best_density_den=best_density.denominator,
+                total_updates=total_updates,
+                total_processed=total_processed,
+            )
+        return snapshot
 
+    extract_each_round = not plain_sctl or track_convergence
+    prefix = None  # the extraction from the last completed round's weights
+    paths_per_round = 0
+    cliques_per_round = 0
     completed = start_iteration - 1
     exhausted: Optional[str] = None
     for t in range(start_iteration, iterations + 1):
@@ -301,9 +322,9 @@ def _sctl_star_run(
         # snapshot whenever a real budget is threaded, not just when it is
         # already active: a cancel (signal, fault) can arm it mid-sweep
         iter_start_weights = weights[:] if budget is not NULL_BUDGET else None
-        threshold = engagement_threshold(best_density)
         in_scope = live = None
         if use_reductions:
+            threshold = engagement_threshold(best_density)
             live = live_partitions(partition_of, bounds, best_density)
             in_scope = [e >= threshold for e in engagement]
         stats_entry = None
@@ -385,24 +406,34 @@ def _sctl_star_run(
                 break
             if use_reductions:
                 engagement = new_engagement
-            # re-extract to tighten the achieved density (Line 12)
-            prefix = best_prefix_from_paths(source, weights, k)
-        if prefix.density_fraction > best_density:
-            best_density = prefix.density_fraction
-            best_vertices = sorted(prefix.vertices)
-            best_count = prefix.clique_count
+            if extract_each_round:
+                # re-extract to tighten the achieved density (Line 12)
+                prefix = best_prefix_from_paths(source, weights, k)
+        rho = None
+        if not plain_sctl:
+            if prefix.density_fraction > best_density:
+                best_density = prefix.density_fraction
+                best_vertices = sorted(prefix.vertices)
+                best_count = prefix.clique_count
+            rho = float(best_density)
+        elif track_convergence:
+            rho = prefix.density
+            density_history.append(rho)
+            upper_history.append(max(max(weights) / t, rho))
         total_updates += updates
         total_processed += processed
+        paths_per_round = n_paths
+        cliques_per_round = processed
         completed = t
         if budget.active:
             budget.tick()
-        if ckpt is not None and ckpt.due(_CHECKPOINT_KIND):
-            ckpt.save(_CHECKPOINT_KIND, _state(t))
+        if ckpt is not None and ckpt.due(kind):
+            ckpt.save(kind, _state(t))
             if track:
                 recorder.counter("checkpoint/saves")
         logger.debug(
-            "%s iteration %d/%d: %d cliques, %d weight updates, density %.6f",
-            name, t, iterations, processed, updates, float(best_density),
+            "%s iteration %d/%d: %d cliques, %d weight updates, density %s",
+            name, t, iterations, processed, updates, rho,
         )
         if track:
             weight_change = sum(
@@ -421,13 +452,14 @@ def _sctl_star_run(
                     "reductions/paths_pruned_engagement", pruned_engagement
                 )
                 recorder.counter("reductions/pivots_dropped", pivots_dropped)
-            recorder.gauge("refine/density", float(best_density))
+            if rho is not None:
+                recorder.gauge("refine/density", rho)
             recorder.gauge("refine/weight_change_l1", weight_change)
             recorder.event(
                 "refine_iteration",
                 algorithm=name,
                 iteration=t,
-                density=float(best_density),
+                **({} if rho is None else {"density": rho}),
                 weight_change_l1=weight_change,
                 cliques_processed=processed,
                 weight_updates=updates,
@@ -435,29 +467,56 @@ def _sctl_star_run(
         if stats_entry is not None:
             stats_entry.cliques_processed = processed
             stats_entry.weight_updates = updates
-            stats_entry.rho = float(best_density)
+            stats_entry.rho = rho
             per_iteration.append(stats_entry)
 
-    run_stats = {
-        "weights": weights,
-        "paths": n_paths,
-        "total_weight_updates": total_updates,
-        "total_cliques_processed": total_processed,
-    }
+    stage = f"refine/iteration/{completed + 1}"
     if exhausted:
-        if ckpt is not None:
-            # persist the last completed iteration unconditionally so a
-            # resume continues exactly where this run degraded
-            ckpt.save(_CHECKPOINT_KIND, _state(completed))
         if track:
             recorder.counter("budget/exhausted")
             recorder.gauge("budget/reason", exhausted)
-            recorder.gauge("budget/stage", f"refine/iteration/{completed + 1}")
-        upper = (
-            max(max(weights) / completed, float(best_density))
-            if completed
-            else None
-        )
+            recorder.gauge("budget/stage", stage)
+        if plain_sctl and not completed:
+            # Algorithm 2 has no answer before its first round
+            return PartialResult(
+                vertices=[], clique_count=0, k=k, algorithm=name,
+                valid=False, reason=exhausted, stage=stage,
+            ), None
+        if ckpt is not None:
+            # persist the last completed iteration unconditionally so a
+            # resume continues exactly where this run degraded
+            ckpt.save(kind, _state(completed))
+    elif ckpt is not None:
+        ckpt.clear(kind)
+    if plain_sctl:
+        if prefix is None:
+            prefix = best_prefix_from_paths(source, weights, k)
+        best_vertices = sorted(prefix.vertices)
+        best_count = prefix.clique_count
+        best_density = prefix.density_fraction
+        run_stats = {
+            "weights": weights,
+            "cliques_per_iteration": cliques_per_round,
+            "paths": paths_per_round,
+        }
+        if track_convergence:
+            run_stats["density_history"] = density_history
+            run_stats["upper_bound_history"] = upper_history
+    else:
+        run_stats = {
+            "weights": weights,
+            "paths": paths_per_round,
+            "total_weight_updates": total_updates,
+            "total_cliques_processed": total_processed,
+        }
+    if collect_stats:
+        run_stats["iterations"] = per_iteration
+    upper = (
+        max(max(weights) / completed, float(best_density))
+        if completed
+        else None
+    )
+    if exhausted:
         result = PartialResult(
             vertices=best_vertices,
             clique_count=best_count,
@@ -467,14 +526,9 @@ def _sctl_star_run(
             upper_bound=upper,
             stats=run_stats,
             reason=exhausted,
-            stage=f"refine/iteration/{completed + 1}",
+            stage=stage,
         )
-        if collect_stats:
-            result.stats["iterations"] = per_iteration
         return result, None
-    if ckpt is not None:
-        ckpt.clear(_CHECKPOINT_KIND)
-    upper = max(max(weights) / iterations, float(best_density))
     result = DenseSubgraphResult(
         vertices=best_vertices,
         clique_count=best_count,
@@ -484,9 +538,7 @@ def _sctl_star_run(
         upper_bound=upper,
         stats=run_stats,
     )
-    if collect_stats:
-        result.stats["iterations"] = per_iteration
-    return result, _state(iterations)
+    return result, _state(completed)
 
 
 def sctl_plus(
@@ -529,7 +581,8 @@ def _parallel_refine_sweep(
     new_engagement: List[int],
     budget: Budget,
 ):
-    """One SCTL* sweep, phase A pooled and phase B applied in order.
+    """One round of a streamed query, phase A pooled and phase B applied
+    in order.
 
     The workers get the round's per-vertex scope tests (``in_scope`` and
     the live-partition table, both ``None`` without reductions), so they

@@ -10,6 +10,7 @@ are checked against the general code here too.
 
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -31,6 +32,7 @@ from repro.core.sct import SCTPathTable, count_in_subset, query_paths, table_cap
 from repro.graph import Graph, gnm_graph
 from repro.graph.generators import overlapping_community_graph
 from repro.parallel import ParallelConfig
+from repro.parallel.engine import PathShardEngine
 
 POOLED = RunOptions(parallel=ParallelConfig(workers=2))
 
@@ -159,6 +161,43 @@ class TestPooledSource:
         )
 
 
+class TestPooledRounds:
+    """Under ``parallel`` a round's filtering (phase A) is pooled only
+    when the query streams; a kept table is read in this process."""
+
+    @pytest.fixture
+    def pool_ops(self, monkeypatch):
+        """The ops handed to ``PathShardEngine.map``, counted."""
+        ops = Counter()
+        original = PathShardEngine.map
+
+        def spied(self, op, *args, **kwargs):
+            ops[op] += 1
+            return original(self, op, *args, **kwargs)
+
+        monkeypatch.setattr(PathShardEngine, "map", spied)
+        return ops
+
+    @pytest.mark.parametrize(
+        "part, k, fn, expected",
+        [
+            # K_{7x4} keeps its table: only the fill runs in the pool
+            (4, 7, sctl_star, {"paths": 1}),
+            # K_{14x2} streams: the fill attempt, 5 pooled rounds and
+            # SCTL's one extraction
+            (2, 14, sctl, {"paths": 2, "refine": 5}),
+            # and for SCTL* also engagement, partition and an extraction
+            # per round
+            (2, 14, sctl_star, {"paths": 8, "refine": 5}),
+        ],
+        ids=["K7x4-sctl*", "K14x2-sctl", "K14x2-sctl*"],
+    )
+    def test_ops(self, pool_ops, part, k, fn, expected):
+        index = SCTIndex.build(complete_multipartite(28, part))
+        fn(index, k, iterations=5, options=POOLED)
+        assert dict(pool_ops) == expected
+
+
 class TestOneWalkPerQuery:
     def test_sctl_star(self, community_index, walks):
         sctl_star(community_index, 5, iterations=10)
@@ -177,15 +216,16 @@ class TestOneWalkPerQuery:
         assert len(walks) == 1
 
     def test_above_the_cap_at_most_one_more_walk(self, walks):
-        # the parent walked 3 + 2T times for SCTL* (an emptiness probe,
-        # engagement, partition, a sweep and an extraction per round)
-        # and T + 2 for SCTL (a count, T passes, the extraction)
+        # SCTL* walked 3 + 2T times before its table (an emptiness probe,
+        # engagement, partition, a sweep and an extraction per round);
+        # SCTL walks exactly T + 2: the fill attempt, T passes and the
+        # one extraction
         index = SCTIndex.build(complete_multipartite(28, 2))
         sctl_star(index, 14, iterations=3)
         assert len(walks) <= 3 + 2 * 3 + 1
         walks.clear()
         sctl(index, 14, iterations=3)
-        assert len(walks) <= 3 + 2 + 1
+        assert len(walks) == 3 + 2
 
 
 class TestOneShotPaths:

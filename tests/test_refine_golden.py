@@ -13,7 +13,8 @@ al.): every maximal clique takes one vertex per part, so the index holds
 one path per clique and the path table's size is known in closed form.
 ``K_{14x2}`` at k=14 needs more table entries than the index holds and is
 refined off a stream of the tree; ``K_{7x4}`` at k=7 fits and is refined
-off the table.
+off the table.  With two workers the stream's rounds are filtered in the
+pool and the table's in this process; both must answer the same digests.
 """
 
 import hashlib
@@ -21,6 +22,7 @@ from itertools import combinations
 
 import pytest
 
+from repro import RunOptions
 from repro.core import SCTIndex, sctl, sctl_plus, sctl_star, sctl_star_sample
 from repro.graph import Graph
 from repro.graph.generators import overlapping_community_graph
@@ -104,8 +106,17 @@ def test_community_refinement_matches_golden(community_index, name):
     assert digest(call(community_index)) == expected
 
 
-@pytest.mark.parametrize("name", sorted(MULTIPARTITE))
-def test_multipartite_refinement_matches_golden(name):
+@pytest.mark.parametrize(
+    "name, options",
+    [
+        pytest.param(name, options, id=name + suffix)
+        for name in sorted(MULTIPARTITE)
+        for options, suffix in (
+            (None, ""), (RunOptions(parallel=2), "-parallel-2")
+        )
+    ],
+)
+def test_multipartite_refinement_matches_golden(name, options):
     part, n, k, call, expected = MULTIPARTITE[name]
     index = SCTIndex.build(complete_multipartite(n, part))
-    assert digest(call(index, k, iterations=5)) == expected
+    assert digest(call(index, k, iterations=5, options=options)) == expected

@@ -190,6 +190,10 @@ class TestSctlResumeParity:
             ),
         )
         assert part.is_partial and part.valid
+        # the checkpoint format is part of the contract (docs/robustness.md)
+        payload = ckpt.load("sctl-weights")
+        assert sorted(payload) == ["algorithm", "iteration", "k", "n", "weights"]
+        assert payload["iteration"] == stop_after
         resumed = sctl(
             index, 4, iterations=total,
             options=RunOptions(checkpoint=ckpt, resume=True),

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from repro.cliques import count_k_cliques_naive, densest_subgraph_bruteforce
-from repro.core import SCTIndex, sample_k_cliques, sctl_star_sample
+from repro.core import SCTIndex, sample_k_cliques, sampling, sctl_star_sample
 from repro.core.sampling import _unrank_combination
 from repro.errors import InvalidParameterError
 from repro.graph import Graph, gnp_graph, relaxed_caveman_graph
@@ -120,3 +120,20 @@ class TestAlgorithm:
         assert result.stats["sampled_cliques"] <= 30
         assert result.stats["sampled_vertices"] >= 3
         assert "clique_visits" in result.stats
+
+    def test_one_extraction_per_pass(self, caveman, monkeypatch):
+        # recovery reuses the last pass's prefix instead of extracting
+        # from the same weights again
+        index = SCTIndex.build(caveman)
+        calls = []
+        original = sampling.best_prefix_from_cliques
+
+        def counted(*args, **kwargs):
+            prefix = original(*args, **kwargs)
+            calls.append(prefix)
+            return prefix
+
+        monkeypatch.setattr(sampling, "best_prefix_from_cliques", counted)
+        result = sctl_star_sample(index, 3, sample_size=40, iterations=7)
+        assert len(calls) == 7
+        assert result.vertices == sorted(calls[-1].vertices)

@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.errors import BudgetExhausted, InvalidParameterError
 from repro.graph import Graph, gnp_graph, relaxed_caveman_graph
+from repro.graph.generators import overlapping_community_graph
 from repro.obs import MetricsRecorder
 from repro.options import RunOptions
 from repro.resilience import RunBudget
@@ -297,6 +298,12 @@ class TestIncrementalityIsReal:
 
 
 class TestWarmStart:
+    @pytest.fixture(scope="class")
+    def community_index(self):
+        return SCTIndex.build(
+            overlapping_community_graph(600, 40, 20, 0.55, memberships=2, seed=1)
+        )
+
     def test_zero_seed_matches_cold_start(self):
         g = relaxed_caveman_graph(6, 6, 0.1, seed=2)
         index = SCTIndex.build(g)
@@ -314,6 +321,26 @@ class TestWarmStart:
             fn(index, 3, warm_start=[0] * (g.n + 1), **kwargs)
         with pytest.raises(InvalidParameterError, match="non-negative"):
             fn(index, 3, warm_start=[-1] + [0] * (g.n - 1), **kwargs)
+
+    @pytest.mark.parametrize("fn", [sctl, sctl_star, sctl_plus])
+    @pytest.mark.parametrize(
+        "seed", [[1, 2], [-1] * 5], ids=["wrong-length", "negative"]
+    )
+    def test_checked_on_an_empty_query(self, fn, seed):
+        # no path at k=3, so no round would ever read the seed
+        index = SCTIndex.build(Graph(5))
+        rec = MetricsRecorder()
+        with pytest.raises(InvalidParameterError, match="warm_start"):
+            fn(index, 3, warm_start=seed, options=RunOptions(recorder=rec))
+        assert "refine/path_table" not in rec.span_totals()
+
+    @pytest.mark.parametrize("fn", [sctl, sctl_star, sctl_plus])
+    def test_checked_before_the_path_table(self, community_index, fn):
+        rec = MetricsRecorder()
+        with pytest.raises(InvalidParameterError, match="warm_start"):
+            fn(community_index, 5, warm_start=[0] * 3,
+               options=RunOptions(recorder=rec))
+        assert "refine/path_table" not in rec.span_totals()
 
     def test_reseeding_after_update_converges_no_worse(self):
         g = gnp_graph(40, 0.3, seed=7)
