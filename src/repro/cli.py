@@ -501,6 +501,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             worker_args += ["--max-concurrent", str(args.max_concurrent)]
         if args.max_queue != 16:
             worker_args += ["--max-queue", str(args.max_queue)]
+        if args.workers is not None:
+            worker_args += ["--workers", str(args.workers)]
         return serve_fleet(
             host=args.host,
             port=args.port,

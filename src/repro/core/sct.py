@@ -1510,7 +1510,8 @@ class QueryPaths:
     Iterating yields ``(holds, pivots)`` rows in traversal order: from
     :attr:`table` when the query's table fits, otherwise from a fresh
     walk of the tree — through :attr:`engine` while it is open — packed
-    into bounded tables as it is read.
+    into bounded tables as it is read.  :attr:`engine` is open only on a
+    source that streams.
     """
 
     __slots__ = ("index", "k", "enforce_support", "table", "engine")
@@ -1578,15 +1579,16 @@ def query_paths(
     A caller's ``paths`` is read exactly once, into the table, whatever
     its size: a one-shot iterator works like a list.  Otherwise the tree
     is walked — through a :class:`~repro.parallel.engine.PathShardEngine`
-    when ``options.parallel`` asks for workers, which the returned source
-    keeps open for pooled sweeps — and the table is abandoned when it
-    would outgrow the index (:class:`SCTPathTable`); the source then
-    streams.  The fill runs under a ``refine/path_table`` span with
-    ``refine/path_table_rows`` and ``refine/path_table_entries``
-    counters; an abandoned table records a ``refine/path_table_streamed``
-    counter and a ``path_table_streamed`` event with ``k``, the entries
-    seen and the cap.  Close the source (or use it as a context manager)
-    to release the engine.
+    when ``options.parallel`` asks for workers — and the table is
+    abandoned when it would outgrow the index (:class:`SCTPathTable`);
+    the source then streams and keeps the engine open for pooled sweeps,
+    while a kept table closes it right after the fill.  The fill runs
+    under a ``refine/path_table`` span with ``refine/path_table_rows``
+    and ``refine/path_table_entries`` counters; an abandoned table
+    records a ``refine/path_table_streamed`` counter and a
+    ``path_table_streamed`` event with ``k``, the entries seen and the
+    cap.  Close the source (or use it as a context manager) to release
+    the engine.
     """
     opts = RunOptions.resolve(options)
     recorder = opts.recorder
@@ -1623,6 +1625,7 @@ def query_paths(
                 recorder.counter("refine/path_table_rows", len(table))
                 recorder.counter("refine/path_table_entries", table.entries)
             source.table = table
+            source.close()  # no sweep of a kept table uses the pool
             return source
     except BaseException:
         source.close()

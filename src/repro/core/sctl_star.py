@@ -232,9 +232,10 @@ def _sctl_star_run(
     if source.empty:
         return empty_result(k, name), None
     n = index.n_vertices
-    # pool phase A only when the query streams: a pooled walk ships every
-    # row to this process anyway, while a kept table is read faster here
-    engine = source.engine if source.table is None else None
+    # phase A is pooled only when the query streams (a kept table closed
+    # its engine): a pooled walk ships every row to this process anyway,
+    # while a kept table is read faster here
+    engine = source.engine
     kind = _SCTL_CHECKPOINT_KIND if plain_sctl else _CHECKPOINT_KIND
     identity = {"algorithm": name, "k": k, "n": n}
     if not plain_sctl:

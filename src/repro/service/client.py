@@ -49,11 +49,12 @@ next routing decision.  ``update`` and ``stats`` always go through the
 router — update must fan out to replicas, and stats aggregation is the
 router's job.
 
-Stdlib-only (:mod:`urllib.request`); injectable ``sleep`` and ``rng``
-keep the tests instant and deterministic.  The client holds no sockets
-between calls, but :meth:`ServiceClient.close` (also via ``with``)
-drops the cached topology and fails further calls fast, so a closed
-client cannot silently keep routing.
+Stdlib-only (one exchange is :func:`repro.service.http.exchange`, over
+:mod:`urllib.request`); injectable ``sleep`` and ``rng`` keep the tests
+instant and deterministic.  The client holds no sockets between calls,
+but :meth:`ServiceClient.close` (also via ``with``) drops the cached
+topology and fails further calls fast, so a closed client cannot
+silently keep routing.
 """
 
 from __future__ import annotations
@@ -63,12 +64,12 @@ import random
 import threading
 import time
 import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..errors import InvalidParameterError, ServiceUnavailable
 from ..results import DenseSubgraphResult
 from .hashring import HashRing, key_string, request_key
+from .http import exchange, first_envelope
 
 __all__ = [
     "ServiceClient",
@@ -266,36 +267,17 @@ class ServiceClient:
         self, path: str, body: Optional[bytes],
         base: Optional[str] = None,
     ) -> Tuple[int, Optional[str], bytes]:
-        """One HTTP exchange: ``(status, retry_after_header, body)``.
-
-        Raises ``OSError`` (including ``URLError``) on connection-level
-        failure; HTTP error statuses are returned, not raised.  ``base``
-        overrides the endpoint (topology-aware direct-to-worker calls).
+        """One :func:`~repro.service.http.exchange` with ``path`` of the
+        endpoint, or of ``base`` (topology-aware direct-to-worker calls).
         """
         if self._closed:
             raise ServiceUnavailable(
                 "client is closed", last_status=None, attempts=0
             )
-        request = urllib.request.Request(
+        return exchange(
             (base if base is not None else self.endpoint) + path,
-            data=body,
-            method="POST" if body is not None else "GET",
-            headers={"Content-Type": "application/x-ndjson"}
-            if body is not None else {},
+            body, self.timeout_s,
         )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                return (
-                    response.status,
-                    response.headers.get("Retry-After"),
-                    response.read(),
-                )
-        except urllib.error.HTTPError as exc:
-            # an error status with a readable body is still an exchange
-            with exc:
-                return exc.code, exc.headers.get("Retry-After"), exc.read()
 
     def _backoff(self, attempt: int, retry_after: Optional[str]) -> float:
         """Seconds to sleep before retry number ``attempt`` (1-based)."""
@@ -360,13 +342,13 @@ class ServiceClient:
 
     @staticmethod
     def _decode(status: int, payload: bytes, path: str) -> Dict[str, Any]:
-        lines = [ln for ln in payload.decode("utf-8").splitlines() if ln]
-        if not lines:
+        env = first_envelope(payload)
+        if env is None:
             raise ServiceUnavailable(
                 f"empty response body (HTTP {status}) from {path}",
                 last_status=status, attempts=1,
             )
-        return json.loads(lines[0])
+        return env
 
     def _rpc(
         self, op: str, obj: Dict[str, Any],

@@ -129,6 +129,15 @@ TOPOLOGY_SCHEMA = "repro/topology-v1"
 
 KNOWN_OPS = ("query", "profile", "stats", "build", "update")
 
+# response codes mirror the CLI exit codes (see repro.cli); 5 is
+# service-only: rejected by admission control, never started (HTTP 429)
+CODE_OK = 0
+CODE_ERROR = 1
+CODE_BAD_REQUEST = 2
+CODE_EXHAUSTED = 3
+CODE_PARTIAL = 4
+CODE_REJECTED = 5
+
 
 def envelope(op: str, code: int = 0, **payload: Any) -> Dict[str, Any]:
     """A well-formed ``repro/service-v1`` response object."""

@@ -1,8 +1,8 @@
 """Fleet front for the query daemon: consistent-hash routing over workers.
 
-One ``ThreadingHTTPServer`` process cannot serve the millions-of-users
-north star: every SCT*-Index is resident in a single process and cold
-builds serialize behind the GIL.  The fleet splits the roles:
+One daemon process cannot serve the millions-of-users north star:
+every SCT*-Index is resident in a single process and cold builds
+serialize behind the GIL.  The fleet splits the roles:
 
 * N **workers** — unmodified :class:`~repro.service.ReproService`
   processes on loopback ports (spawned by :class:`FleetManager`, or
@@ -45,16 +45,13 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import threading
 import time
 import urllib.error
-import urllib.request
 import uuid
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from queue import Empty, Queue
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -69,19 +66,17 @@ from .hashring import (
     parse_key_string,
     request_key,
 )
+from .http import HTTPFront, exchange, first_envelope, serve_until_signalled
 from .protocol import (
+    CODE_BAD_REQUEST,
+    CODE_ERROR,
+    CODE_OK,
     ROUTER_STATS_SCHEMA,
     TOPOLOGY_SCHEMA,
     envelope,
     error_envelope,
     parse_request,
     stamp_topology,
-)
-from .server import (
-    CODE_BAD_REQUEST,
-    CODE_ERROR,
-    CODE_OK,
-    _status_for,
 )
 
 __all__ = [
@@ -281,9 +276,14 @@ class RouterService:
     """The routing brain: placement, failover, replication, fan-out.
 
     Transport-free (``handle_request`` maps one request object to one
-    response envelope) so the tests can drive it without sockets; the
-    HTTP layer below is a thin adapter, exactly like the worker's.
+    response envelope) so the tests can drive it without sockets; over
+    HTTP it is served by the same front as the worker
+    (:mod:`repro.service.http`).
     """
+
+    # served over HTTP as POST /v1/<op>, and GET /v1/<op> for GET_OPS
+    OPS = ("build", "profile", "query", "stats", "topology", "update")
+    GET_OPS = ("stats", "topology")
 
     def __init__(
         self,
@@ -343,6 +343,18 @@ class RouterService:
     def drain(self) -> None:
         self._draining.set()
 
+    def readiness(self) -> Tuple[bool, Dict[str, Any]]:
+        """``(ready, /readyz payload)``: not ready while draining or while
+        the ring has no worker."""
+        draining = self.draining
+        workers = len(self.ring)
+        status = "draining" if draining else "ok" if workers else "no_workers"
+        return status == "ok", {
+            "status": status,
+            "draining": draining,
+            "workers": workers,
+        }
+
     def metrics_text(self) -> str:
         with self._rec_lock:
             snapshot = self._recorder.snapshot()
@@ -377,30 +389,19 @@ class RouterService:
         body = (
             json.dumps(obj).encode("utf-8") if obj is not None else None
         )
-        request = urllib.request.Request(
-            worker.url + path,
-            data=body,
-            method="POST" if body is not None else "GET",
-            headers={"Content-Type": "application/x-ndjson"}
-            if body is not None else {},
-        )
         try:
-            with urllib.request.urlopen(
-                request, timeout=self.config.request_timeout_s
-            ) as response:
-                status, payload = response.status, response.read()
-        except urllib.error.HTTPError as exc:
-            with exc:
-                status, payload = exc.code, exc.read()
+            status, _, payload = exchange(
+                worker.url + path, body, self.config.request_timeout_s
+            )
         except urllib.error.URLError as exc:
             reason = exc.reason
             raise reason if isinstance(reason, OSError) else OSError(
                 str(reason)
             )
-        lines = [ln for ln in payload.decode("utf-8").splitlines() if ln]
-        if not lines:
+        env = first_envelope(payload)
+        if env is None:
             raise OSError(f"empty response body (HTTP {status})")
-        return status, json.loads(lines[0])
+        return status, env
 
     def _note_worker_failure(self, worker: _Worker, exc: BaseException) -> None:
         """A connection-level failure talking to ``worker``.
@@ -537,7 +538,7 @@ class RouterService:
             return error_envelope(
                 op, CODE_BAD_REQUEST,
                 f"unknown op {op!r}; expected one of: "
-                "build, profile, query, stats, topology, update",
+                + ", ".join(self.OPS),
             )
         except InvalidParameterError as exc:
             return error_envelope(op, CODE_BAD_REQUEST, str(exc))
@@ -861,150 +862,15 @@ class RouterService:
         return self._op_stats()["stats"]
 
 
-# ---------------------------------------------------------------------------
-# HTTP transport (mirrors the worker's, minus the graph machinery)
-# ---------------------------------------------------------------------------
-
-class _RouterHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-router"
-
-    @property
-    def service(self) -> RouterService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
-
-    def _read_body(self) -> str:
-        length = int(self.headers.get("Content-Length", 0))
-        return self.rfile.read(length).decode("utf-8") if length else ""
-
-    def _respond(
-        self, status: int, body: bytes,
-        retry_after: Optional[int] = None,
-        content_type: str = "application/x-ndjson",
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _respond_envelopes(self, envelopes) -> None:
-        body = "".join(
-            json.dumps(env) + "\n" for env in envelopes
-        ).encode("utf-8")
-        status, retry_after = _status_for(self.service, envelopes)
-        self._respond(status, body, retry_after=retry_after)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib dispatch name
-        body = self._read_body()
-        if self.path == "/v1/rpc":
-            lines = [line for line in body.splitlines() if line.strip()]
-            if not lines:
-                self._respond_envelopes([error_envelope(
-                    None, CODE_BAD_REQUEST, "empty request"
-                )])
-                return
-            self._respond_envelopes(
-                [self.service.handle_line(line) for line in lines]
-            )
-            return
-        op = {
-            "/v1/query": "query",
-            "/v1/build": "build",
-            "/v1/profile": "profile",
-            "/v1/stats": "stats",
-            "/v1/update": "update",
-            "/v1/topology": "topology",
-        }.get(self.path)
-        if op is None:
-            self._respond_envelopes([error_envelope(
-                None, CODE_BAD_REQUEST, f"unknown path {self.path!r}"
-            )])
-            return
-        try:
-            obj = json.loads(body or "{}")
-        except json.JSONDecodeError as exc:
-            self._respond_envelopes([error_envelope(
-                op, CODE_BAD_REQUEST, f"request is not valid JSON: {exc}"
-            )])
-            return
-        if not isinstance(obj, dict):
-            self._respond_envelopes([error_envelope(
-                op, CODE_BAD_REQUEST, "request must be a JSON object"
-            )])
-            return
-        obj.setdefault("op", op)
-        self._respond_envelopes([self.service.handle_request(obj)])
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib dispatch name
-        if self.path == "/healthz":
-            status = 503 if self.service.draining else 200
-            payload = {
-                "status": "draining" if self.service.draining else "ok",
-            }
-            self._respond(status, (json.dumps(payload) + "\n").encode())
-            return
-        if self.path == "/readyz":
-            draining = self.service.draining
-            empty = len(self.service.ring) == 0
-            ready = not draining and not empty
-            payload = {
-                "status": "ok" if ready else (
-                    "draining" if draining else "no_workers"
-                ),
-                "draining": draining,
-                "workers": len(self.service.ring),
-            }
-            self._respond(
-                200 if ready else 503,
-                (json.dumps(payload) + "\n").encode(),
-            )
-            return
-        if self.path == "/v1/topology":
-            self._respond_envelopes(
-                [self.service.handle_request({"op": "topology"})]
-            )
-            return
-        if self.path == "/v1/stats":
-            self._respond_envelopes(
-                [self.service.handle_request({"op": "stats"})]
-            )
-            return
-        if self.path == "/metrics":
-            self._respond(
-                200, self.service.metrics_text().encode("utf-8"),
-                content_type="text/plain; version=0.0.4; charset=utf-8",
-            )
-            return
-        self._respond_envelopes([error_envelope(
-            None, CODE_BAD_REQUEST, f"unknown path {self.path!r}"
-        )])
-
-
-class _RouterHTTPServer(ThreadingHTTPServer):
-    daemon_threads = False
-    block_on_close = True
-    request_queue_size = 128
-
-    def __init__(self, address, service: RouterService):
-        self.service = service
-        super().__init__(address, _RouterHandler)
-
-
 def make_router(
     config: RouterConfig,
     workers: Dict[str, str],
     manager: Optional[FleetManager] = None,
-) -> Tuple[_RouterHTTPServer, RouterService]:
+) -> Tuple[HTTPFront, RouterService]:
     """Bind a router for ``config`` without entering its accept loop
     (tests: bind port 0, read the real port, run in a thread)."""
     service = RouterService(config, workers, manager=manager)
-    server = _RouterHTTPServer((config.host, config.port), service)
+    server = HTTPFront((config.host, config.port), service, "repro-router")
     return server, service
 
 
@@ -1033,42 +899,19 @@ def serve_fleet(
     )
     try:
         server, service = make_router(config, workers, manager=manager)
-    except OSError:
-        manager.terminate()
-        raise
-    service.start_polling()
-
-    def _on_signal(signum, frame):
-        print(
-            f"signal {signum}: draining fleet ({len(workers)} workers)",
-            file=sys.stderr, flush=True,
+        service.start_polling()
+        announce = (
+            f"repro router listening on http://{config.host}:"
+            f"{server.server_address[1]} (fleet of {len(workers)} workers)"
         )
-        service.drain()
-
-        def _stop() -> None:
-            manager.terminate()
-            server.shutdown()
-
-        threading.Thread(target=_stop, daemon=True).start()
-
-    previous = {
-        signum: signal.signal(signum, _on_signal)
-        for signum in (signal.SIGTERM, signal.SIGINT)
-    }
-    actual_port = server.server_address[1]
-    print(
-        f"repro router listening on http://{config.host}:{actual_port} "
-        f"(fleet of {len(workers)} workers)",
-        flush=True,
-    )
-    for worker_id, url in sorted(workers.items()):
-        print(f"repro worker {worker_id} at {url}", flush=True)
-    try:
-        server.serve_forever()
+        for worker_id, url in sorted(workers.items()):
+            announce += f"\nrepro worker {worker_id} at {url}"
+        serve_until_signalled(
+            server, announce,
+            f"draining fleet ({len(workers)} workers)",
+            stop=manager.terminate,
+        )
     finally:
-        server.server_close()
         manager.terminate()
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
     print("repro fleet drained", flush=True)
     return 0

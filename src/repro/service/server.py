@@ -2,9 +2,9 @@
 
 Layering::
 
-    _ServiceHTTPServer / _Handler   transport: HTTP, ND-JSON bodies
-    ReproService                    ops, caches, coalescing, budgets, obs
-    repro.densest_subgraph & co     the actual computations
+    repro.service.http            transport: HTTP, ND-JSON bodies
+    ReproService                  ops, caches, coalescing, budgets, obs
+    repro.densest_subgraph & co   the actual computations
 
 :class:`ReproService` is transport-free — tests drive
 :meth:`ReproService.handle_request` directly under a thread pool — and
@@ -38,13 +38,11 @@ import hashlib
 import json
 import math
 import os
-import signal
 import sys
 import threading
 import time
 import uuid
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from .. import densest_subgraph
@@ -69,7 +67,14 @@ from ..resilience.overload import AdmissionController, CircuitBreaker
 from ..results import PROFILE_SCHEMA, STATS_SCHEMA, PartialResult
 from .cache import LRUCache
 from .hashring import key_string
+from .http import HTTPFront, serve_until_signalled
 from .protocol import (
+    CODE_BAD_REQUEST,
+    CODE_ERROR,
+    CODE_EXHAUSTED,
+    CODE_OK,
+    CODE_PARTIAL,
+    CODE_REJECTED,
     SERVICE_STATS_SCHEMA,
     envelope,
     error_envelope,
@@ -79,15 +84,6 @@ from .protocol import (
 from .singleflight import SingleFlight
 
 __all__ = ["ServiceConfig", "ReproService", "serve_forever"]
-
-# response codes mirror the CLI exit codes (see repro.cli); 5 is
-# service-only: rejected by admission control, never started (HTTP 429)
-CODE_OK = 0
-CODE_ERROR = 1
-CODE_BAD_REQUEST = 2
-CODE_EXHAUSTED = 3
-CODE_PARTIAL = 4
-CODE_REJECTED = 5
 
 # endpoint classes for admission control: cold index builds queue
 # separately from (usually warm) queries, and index updates get their
@@ -267,10 +263,17 @@ class ReproService:
         for budget in budgets:
             budget.cancel("cancelled")
 
-    @property
-    def admission_saturated(self) -> bool:
-        """Any endpoint class full with a full queue (``/readyz`` → 503)."""
-        return self._admission is not None and self._admission.saturated
+    def readiness(self) -> Tuple[bool, Dict[str, Any]]:
+        """``(ready, /readyz payload)``: not ready while draining or while
+        any endpoint class is full with a full queue."""
+        draining = self.draining
+        saturated = self._admission is not None and self._admission.saturated
+        status = "draining" if draining else "saturated" if saturated else "ok"
+        return status == "ok", {
+            "status": status,
+            "draining": draining,
+            "admission_saturated": saturated,
+        }
 
     # -- overload protection --------------------------------------------
 
@@ -1043,6 +1046,9 @@ class ReproService:
         "stats": _op_stats,
         "update": _op_update,
     }
+    # served over HTTP as POST /v1/<op>, and GET /v1/<op> for GET_OPS
+    OPS = tuple(_OPS)
+    GET_OPS = ("stats",)
 
     def handle_request(self, obj: Dict[str, Any]) -> Dict[str, Any]:
         """One parsed request object in, one response envelope out.
@@ -1129,191 +1135,16 @@ class ReproService:
         return self._op_stats({})["stats"]
 
 
-# ---------------------------------------------------------------------------
-# HTTP transport
-# ---------------------------------------------------------------------------
-
-def _status_for(service: ReproService, envelopes) -> Tuple[int, Optional[int]]:
-    """HTTP status + optional ``Retry-After`` seconds for a response batch.
-
-    Any rejected envelope wins (429), then any breaker fast-fail (503);
-    both carry a ``Retry-After`` header so well-behaved clients back off
-    instead of hammering.  Otherwise the worst code decides as before.
-    """
-    retry_hints = [
-        env.get("retry_after_s")
-        for env in envelopes
-        if isinstance(env.get("retry_after_s"), (int, float))
-    ]
-    retry_after = (
-        max(1, math.ceil(max(retry_hints))) if retry_hints else None
-    )
-    if any(env.get("rejected") for env in envelopes):
-        return 429, retry_after
-    if any(env.get("breaker_open") for env in envelopes):
-        return 503, retry_after
-    code = max((env["code"] for env in envelopes), default=0)
-    if code in (CODE_OK, CODE_EXHAUSTED, CODE_PARTIAL):
-        return 200, None  # the protocol exchange succeeded; 3/4 are outcomes
-    if code == CODE_BAD_REQUEST:
-        return 400, None
-    if service.draining:
-        return 503, None
-    return 500, None
-
-
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-service"
-
-    @property
-    def service(self) -> ReproService:
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # access logging lives in the recorder, not stderr
-
-    def _read_body(self) -> str:
-        length = int(self.headers.get("Content-Length", 0))
-        return self.rfile.read(length).decode("utf-8") if length else ""
-
-    def _respond(
-        self, status: int, body: bytes,
-        retry_after: Optional[int] = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _respond_envelopes(self, envelopes) -> None:
-        body = "".join(
-            json.dumps(env) + "\n" for env in envelopes
-        ).encode("utf-8")
-        status, retry_after = _status_for(self.service, envelopes)
-        self._respond(status, body, retry_after=retry_after)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib dispatch name
-        body = self._read_body()
-        if self.path == "/v1/rpc":
-            lines = [line for line in body.splitlines() if line.strip()]
-            if not lines:
-                env = error_envelope(None, CODE_BAD_REQUEST, "empty request")
-                self._respond_envelopes([env])
-                return
-            self._respond_envelopes(
-                [self.service.handle_line(line) for line in lines]
-            )
-            return
-        op = {
-            "/v1/query": "query",
-            "/v1/build": "build",
-            "/v1/profile": "profile",
-            "/v1/stats": "stats",
-            "/v1/update": "update",
-        }.get(self.path)
-        if op is None:
-            self._respond_envelopes(
-                [error_envelope(None, CODE_BAD_REQUEST,
-                                f"unknown path {self.path!r}")]
-            )
-            return
-        try:
-            obj = json.loads(body or "{}")
-        except json.JSONDecodeError as exc:
-            self._respond_envelopes(
-                [error_envelope(op, CODE_BAD_REQUEST,
-                                f"request is not valid JSON: {exc}")]
-            )
-            return
-        if not isinstance(obj, dict):
-            self._respond_envelopes(
-                [error_envelope(op, CODE_BAD_REQUEST,
-                                "request must be a JSON object")]
-            )
-            return
-        obj.setdefault("op", op)  # the path names the op; the body may omit it
-        self._respond_envelopes([self.service.handle_request(obj)])
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib dispatch name
-        if self.path == "/healthz":
-            status = 503 if self.service.draining else 200
-            payload = {"status": "draining" if self.service.draining else "ok"}
-            self._respond(status, (json.dumps(payload) + "\n").encode())
-            return
-        if self.path == "/readyz":
-            # liveness (healthz) answers "is the process up"; readiness
-            # answers "should a balancer send traffic here right now" —
-            # no while draining, and no while every admission slot and
-            # queue position is taken
-            draining = self.service.draining
-            saturated = self.service.admission_saturated
-            ready = not draining and not saturated
-            payload = {
-                "status": "ok" if ready else (
-                    "draining" if draining else "saturated"
-                ),
-                "draining": draining,
-                "admission_saturated": saturated,
-            }
-            self._respond(
-                200 if ready else 503,
-                (json.dumps(payload) + "\n").encode(),
-            )
-            return
-        if self.path == "/v1/stats":
-            self._respond_envelopes(
-                [self.service.handle_request({"op": "stats"})]
-            )
-            return
-        if self.path == "/metrics":
-            body = self.service.metrics_text().encode("utf-8")
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
-        self._respond_envelopes(
-            [error_envelope(None, CODE_BAD_REQUEST,
-                            f"unknown path {self.path!r}")]
-        )
-
-
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    # join handler threads on server_close so a drain finishes every
-    # in-flight response before the process exits
-    daemon_threads = False
-    block_on_close = True
-    # socketserver's default listen backlog is 5; a thundering herd
-    # overflows it and the kernel drops the handshake ACK, so the client
-    # "connects", sends its request, and eventually sees ECONNRESET
-    # without ever reaching us.  Overload decisions belong to the
-    # admission gate, which answers with a well-formed 429 envelope —
-    # the backlog just has to be deep enough to hand every connection
-    # to a handler thread.
-    request_queue_size = 128
-
-    def __init__(self, address, service: ReproService):
-        self.service = service
-        super().__init__(address, _Handler)
-
-
 def make_server(
     config: ServiceConfig, sink=None, access_log=None
-) -> Tuple[_ServiceHTTPServer, ReproService]:
+) -> Tuple[HTTPFront, ReproService]:
     """Bind a server for ``config`` without entering its accept loop.
 
     Exposed for tests: bind to port 0, read the real port off
     ``server.server_address``, run ``serve_forever`` in a thread.
     """
     service = ReproService(config, sink=sink, access_log=access_log)
-    server = _ServiceHTTPServer((config.host, config.port), service)
+    server = HTTPFront((config.host, config.port), service, "repro-service")
     return server, service
 
 
@@ -1352,39 +1183,14 @@ def serve_forever(
         if access_log_path else None
     )
     try:
-        server, service = make_server(config, sink=sink, access_log=access_log)
-    except OSError:
-        if sink is not None:
-            sink.close()
-        if access_log is not None:
-            access_log.close()
-        raise
-
-    def _on_signal(signum, frame):
-        print(
-            f"signal {signum}: draining, cancelling in-flight budgets",
-            file=sys.stderr, flush=True,
+        server, _ = make_server(config, sink=sink, access_log=access_log)
+        serve_until_signalled(
+            server,
+            f"repro service listening on "
+            f"http://{config.host}:{server.server_address[1]}",
+            "draining, cancelling in-flight budgets",
         )
-        service.drain()
-        # shutdown() blocks until the accept loop exits; calling it on
-        # this (main) thread would deadlock with serve_forever below
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous = {
-        signum: signal.signal(signum, _on_signal)
-        for signum in (signal.SIGTERM, signal.SIGINT)
-    }
-    actual_port = server.server_address[1]
-    print(
-        f"repro service listening on http://{config.host}:{actual_port}",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
     finally:
-        server.server_close()
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
         if sink is not None:
             sink.close()
         if access_log is not None:

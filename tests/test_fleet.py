@@ -124,3 +124,23 @@ class TestFleetCLI:
         assert proc.returncode == 0
         assert "repro fleet drained" in out_text
         assert "draining fleet (2 workers)" in err_text
+
+    def test_serve_flags_reach_the_fleet_workers(self, monkeypatch):
+        import repro.service
+        from repro import cli
+
+        calls = []
+        monkeypatch.setattr(
+            repro.service, "serve_fleet",
+            lambda **kwargs: calls.append(kwargs) or 0,
+        )
+        argv = [
+            "serve", "--fleet", "3", "--workers", "2",
+            "--cache-size", "6", "--max-concurrent", "4",
+        ]
+        assert cli.main(argv) == 0
+        (kwargs,) = calls
+        assert kwargs["fleet"] == 3
+        assert kwargs["worker_args"] == [
+            "--cache-size", "6", "--max-concurrent", "4", "--workers", "2",
+        ]

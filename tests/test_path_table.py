@@ -70,6 +70,20 @@ def walks(monkeypatch):
     return started
 
 
+@pytest.fixture
+def pool_ops(monkeypatch):
+    """The ops handed to ``PathShardEngine.map``, counted."""
+    ops = Counter()
+    original = PathShardEngine.map
+
+    def spied(self, op, *args, **kwargs):
+        ops[op] += 1
+        return original(self, op, *args, **kwargs)
+
+    monkeypatch.setattr(PathShardEngine, "map", spied)
+    return ops
+
+
 def rows_as_tuples(rows):
     return [(tuple(holds), tuple(pivots)) for holds, pivots in rows]
 
@@ -143,9 +157,13 @@ class TestCap:
 
 
 class TestPooledSource:
-    def test_table_filled_through_the_pool(self, community_index):
+    def test_table_filled_through_the_pool(self, community_index, pool_ops):
         with query_paths(community_index, 4, options=POOLED) as source:
-            assert source.engine is not None
+            # one pooled walk fills the table; no sweep of it needs the
+            # pool, so the engine is closed
+            assert dict(pool_ops) == {"paths": 1}
+            assert source.table is not None
+            assert source.engine is None
             rows = rows_as_tuples(source)
         assert rows == [
             (p.holds, p.pivots) for p in community_index.iter_paths(4)
@@ -164,19 +182,6 @@ class TestPooledSource:
 class TestPooledRounds:
     """Under ``parallel`` a round's filtering (phase A) is pooled only
     when the query streams; a kept table is read in this process."""
-
-    @pytest.fixture
-    def pool_ops(self, monkeypatch):
-        """The ops handed to ``PathShardEngine.map``, counted."""
-        ops = Counter()
-        original = PathShardEngine.map
-
-        def spied(self, op, *args, **kwargs):
-            ops[op] += 1
-            return original(self, op, *args, **kwargs)
-
-        monkeypatch.setattr(PathShardEngine, "map", spied)
-        return ops
 
     @pytest.mark.parametrize(
         "part, k, fn, expected",
