@@ -69,20 +69,7 @@ def batch_update(
     budget = total if lim is None else min(lim, total)
     if budget <= 0:
         return 0
-    if total == 1:
-        # one clique, one +1: the write _distribute makes for it, to the
-        # first lightest hold when it is strictly below every pivot (or
-        # t = 0, which leaves the pivots out), else the first lightest pivot
-        weight = weights.__getitem__
-        v = min(holds, key=weight) if holds else None
-        if t:
-            u = min(pivots, key=weight)
-            if v is None or weights[u] <= weights[v]:
-                v = u
-        weights[v] += 1
-        updates = 1
-    else:
-        updates = _distribute(weights, list(holds), list(pivots), k, budget)
+    updates = _distribute(weights, list(holds), list(pivots), k, budget)
     if recorder.enabled:
         recorder.counter("batch/calls")
         recorder.counter("batch/cliques", budget)
@@ -104,6 +91,7 @@ def _distribute(
     overflows the interpreter stack.
     """
     updates = 0
+    weight = weights.__getitem__
     # (pivot, rest_budget, in_with_branch) per open split; unwound like the
     # recursion's restore sequence when an invocation drains its budget
     conts: List[Tuple[int, int, bool]] = []
@@ -112,31 +100,31 @@ def _distribute(
             t = k - len(h)
             if t < 0 or t > len(p):
                 break
-            if t == 0:
-                # exactly one clique (all holds): a single +1 to its minimum
-                v = min(h, key=weights.__getitem__)
+            if t == 0 or t == len(p):
+                # one clique left, one +1: to the first lightest hold when
+                # it is strictly below every pivot (or t = 0, which leaves
+                # the pivots out), else to the first lightest pivot
+                v = min(h, key=weight) if h else None
+                if t:
+                    u = min(p, key=weight)
+                    if v is None or weights[u] <= weights[v]:
+                        v = u
                 weights[v] += 1
                 updates += 1
                 break
-            min_hold = min((weights[x] for x in h), default=None)
-            min_pivot = min(weights[x] for x in p)
-            w_min = min_pivot if min_hold is None else min(min_hold, min_pivot)
-            # smallest weight strictly above the minimum (None = all tied)
-            w_next: Optional[int] = None
-            for x in h:
-                w = weights[x]
-                if w > w_min and (w_next is None or w < w_next):
-                    w_next = w
-            for x in p:
-                w = weights[x]
-                if w > w_min and (w_next is None or w < w_next):
-                    w_next = w
-            if min_hold is not None and min_hold < min_pivot:
+            # one read of the path's weights gives the minimum, the next
+            # level above it (None = all tied) and the tied holds
+            hold_weights = list(map(weight, h))
+            pivot_weights = list(map(weight, p))
+            levels = sorted({*hold_weights, *pivot_weights})
+            w_min = levels[0]
+            w_next = levels[1] if len(levels) > 1 else None
+            if min(pivot_weights) > w_min:
                 # Cases 1-2: the minimum sits at hold vertices only.  Every
                 # clique contains every hold, so the tied holds absorb
                 # min(budget, ties * gap) units, spread evenly.
-                ties = [x for x in h if weights[x] == w_min]
-                gap = w_next - w_min  # w_next exists: min_pivot > w_min
+                ties = [x for x, w in zip(h, hold_weights) if w == w_min]
+                gap = w_next - w_min  # w_next exists: a pivot is above w_min
                 amount = min(budget, len(ties) * gap)
                 base, extra = divmod(amount, len(ties))
                 for i, x in enumerate(ties):
@@ -147,7 +135,7 @@ def _distribute(
                 budget -= amount
                 continue
             # Cases 3-4: a pivot holds the minimum; process one such pivot.
-            v = next(x for x in p if weights[x] == w_min)
+            v = p[pivot_weights.index(w_min)]
             containing = comb(len(p) - 1, t - 1)  # cliques that include v
             with_budget = min(containing, budget)
             amount = (

@@ -1640,41 +1640,70 @@ def path_rows(paths) -> Iterator[Tuple[Sequence[int], Sequence[int]]]:
     return chain.from_iterable(_packed((p.holds, p.pivots) for p in paths))
 
 
+def scope_rows(
+    rows: Iterable[Tuple[Sequence[int], Sequence[int]]],
+    k: int,
+    tallies: List[int],
+    in_scope: Optional[Sequence[bool]] = None,
+    live: Optional[Sequence[bool]] = None,
+    counts=None,
+) -> Iterator[Tuple[Sequence[int], Sequence[int]]]:
+    """Yield every ``(holds, pivots)`` row of ``rows`` that keeps a
+    k-clique inside a scope, its pivots cut to the scope.
+
+    A row with ``p`` pivots holds ``C(p, t)`` k-cliques, ``t = k -
+    |holds|`` (Lemma 2).  With ``in_scope`` (one flag per vertex) a row
+    survives only when every hold is in scope and ``t`` of its in-scope
+    pivots remain (clique engagement, Lemma 4), and ``live`` (one flag
+    per vertex, read at the row's first hold) drops every row of a
+    partition that is not live first (clique connectivity, Lemma 3).
+    ``counts`` (indexed by vertex) receives the survivors' engagement:
+    each hold is in all ``C(p, t)`` cliques, each pivot in ``C(p-1,
+    t-1)``.  ``tallies`` is added to in place: rows read, rows of dead
+    partitions, other rows dropped, pivots cut from survivors, and the
+    survivors' k-cliques.  Survivors are yielded before the next row is
+    read, so ``rows`` may be live buffers.
+    """
+    for holds, pivots in rows:
+        tallies[0] += 1
+        kept = pivots
+        if in_scope is not None:
+            if live is not None and not live[holds[0]]:
+                tallies[1] += 1
+                continue
+            if not all(map(in_scope.__getitem__, holds)):
+                tallies[2] += 1
+                continue
+            kept = list(compress(pivots, map(in_scope.__getitem__, pivots)))
+        t = k - len(holds)
+        p = len(kept)
+        if t < 0 or t > p:
+            tallies[2] += 1
+            continue
+        tallies[3] += len(pivots) - p
+        share = comb(p, t)
+        tallies[4] += share
+        if counts is not None:
+            for v in holds:
+                counts[v] += share
+            if t:
+                share = comb(p - 1, t - 1)
+                for v in kept:
+                    counts[v] += share
+        yield holds, kept
+
+
 def add_engagement(
     rows: Iterable[Tuple[Sequence[int], Sequence[int]]],
     k: int,
     counts: List[int],
     in_scope: Optional[Sequence[bool]] = None,
-    kept: Optional[List[Tuple[Sequence[int], List[int]]]] = None,
 ) -> None:
     """Add the k-clique engagement of every ``(holds, pivots)`` row to
-    ``counts``, indexed by vertex.
-
-    A row with ``p`` pivots holds ``C(p, t)`` k-cliques, ``t = k - |holds|``
-    (Lemma 2): each hold is in all of them, each pivot in ``C(p-1, t-1)``.
-    With ``in_scope`` (one flag per vertex) a row counts only when every
-    hold is in scope, and only its in-scope pivots count.  ``kept``
-    receives ``(holds, in-scope pivots)`` for every row that counted;
-    rows must then not be live buffers.
-    """
-    for holds, pivots in rows:
-        if in_scope is not None:
-            if not all(map(in_scope.__getitem__, holds)):
-                continue
-            pivots = list(compress(pivots, map(in_scope.__getitem__, pivots)))
-        t = k - len(holds)
-        p = len(pivots)
-        if t < 0 or t > p:
-            continue
-        share = comb(p, t)
-        for v in holds:
-            counts[v] += share
-        if t:
-            share = comb(p - 1, t - 1)
-            for v in pivots:
-                counts[v] += share
-        if kept is not None:
-            kept.append((holds, pivots))
+    ``counts``, indexed by vertex; with ``in_scope``, of the rows and
+    pivots inside it (:func:`scope_rows`)."""
+    for _ in scope_rows(rows, k, [0] * 5, in_scope, counts=counts):
+        pass
 
 
 def count_in_subset(paths, k: int, allowed: Iterable[int]) -> int:

@@ -86,13 +86,13 @@ def sctl(
         * ``recorder`` gets per-pass ``refine/iteration/<t>`` spans,
           ``refine/*`` counters, the ``refine/paths_per_round``
           histogram and the L1 weight-change gauge.
-        * ``budget`` is polled at round boundaries and per path inside a
-          round.  On exhaustion the function degrades to a
-          :class:`~repro.results.PartialResult` extracted from the
-          weights of the last *completed* round (a half-swept round is
-          rolled back, so resumed runs keep exact parity); with no
-          completed rounds the partial result is empty and flagged
-          invalid.
+        * ``budget`` is polled at round boundaries, when a round's
+          sweep starts and per path it sweeps.  On exhaustion the
+          function degrades to a :class:`~repro.results.PartialResult`
+          extracted from the weights of the last *completed* round (a
+          half-swept round is rolled back, so resumed runs keep exact
+          parity); with no completed rounds the partial result is empty
+          and flagged invalid.
         * ``checkpoint`` snapshots the weight vector atomically at round
           boundaries whenever a save is due, and clears it once the run
           completes.

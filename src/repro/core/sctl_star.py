@@ -7,11 +7,16 @@ run the paper's SCTL+ / SCTL* ladder:
 * ``use_reductions`` — clique-connectivity pruning (skip any path whose
   partition's Lemma 3 density bound is dominated by the best density found
   so far) and clique-engagement pruning (skip paths with an out-of-scope
-  hold, drop out-of-scope pivots; Lemma 4).  Scope engagements are
-  re-accumulated from the surviving paths while sweeping, as in Lines 9-10.
+  hold, drop out-of-scope pivots; Lemma 4), with the scope's engagement
+  counted over the surviving paths, as in Lines 9-10.  The scope only
+  shrinks from round to round, so a query whose path table is kept holds
+  it in a :class:`~repro.core.reductions.RowStore`: each round removes
+  only the vertices that left, and sweeps only the surviving rows.  A
+  query that streams filters every row again
+  (:func:`~repro.core.sct.scope_rows`).
 * ``use_batch`` — distribute each path's clique weight through
-  :func:`~repro.core.batch.batch_update` instead of visiting cliques
-  individually.
+  Algorithm 4's BatchUpdate (:mod:`repro.core.batch`) instead of visiting
+  cliques individually.
 
 The best density found so far is always an *achieved* density (it starts
 from a maximum clique fetched off the index and is re-extracted from the
@@ -26,6 +31,7 @@ rule instead: the prefix of the last completed round's weights.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -39,9 +45,10 @@ from ..options import RunOptions
 from ..resilience.budget import NULL_BUDGET, Budget
 from ..resilience.checkpoint import Checkpointer, require_match
 from ..results import DenseSubgraphResult, PartialResult
-from .batch import batch_update
+from .batch import _distribute
 from .extraction import best_prefix_from_paths
 from .reductions import (
+    RowStore,
     engagement_threshold,
     kp_computation,
     live_partitions,
@@ -54,6 +61,7 @@ from .sct import (
     add_engagement,
     count_in_subset,
     query_paths,
+    scope_rows,
 )
 from .sctl import _validated_warm_start, empty_result
 
@@ -145,13 +153,14 @@ def sctl_star(
         knobs; the defaults leave behaviour and output byte-identical.
 
         * ``recorder`` gets one ``refine/iteration/<t>`` span per pass,
-          ``refine/*`` counters (paths swept, cliques processed, weight
-          updates), ``reductions/*`` pruning tallies, and per-iteration
+          ``refine/*`` counters (paths in scope of a sweep, rows it
+          actually swept, cliques processed, weight updates),
+          ``reductions/*`` pruning tallies, and per-iteration
           convergence telemetry: the achieved density and the L1 norm of
           the weight change.
-        * ``budget`` is polled at iteration boundaries and per path
-          inside a sweep.  On exhaustion the run degrades to a
-          :class:`~repro.results.PartialResult` carrying the best
+        * ``budget`` is polled at iteration boundaries, when a sweep
+          starts and per row it sweeps.  On exhaustion the run degrades
+          to a :class:`~repro.results.PartialResult` carrying the best
           subgraph achieved so far (a half-swept iteration is rolled
           back to its entry state, so resumed runs keep exact parity) —
           the result is always ``valid`` because SCTL* starts from an
@@ -168,12 +177,11 @@ def sctl_star(
           uninterrupted one exactly.
         * ``parallel`` with more than one worker fills the path table
           from the pool's ordered stream.  A query whose table is kept
-          reads it in this process every round.  One that streams runs
-          each refinement sweep's path filtering and counting (phase A)
-          over disjoint contiguous path shards in the pool, while the
+          sweeps its row store in this process every round.  One that
+          streams runs each round's path filtering and counting (phase
+          A) over disjoint contiguous path shards in the pool, while the
           weight updates (phase B) are applied here in serial path
-          order; its budget is then polled per merged chunk instead of
-          per path.  Results are byte-identical for any worker count.
+          order.  Results are byte-identical for any worker count.
     """
     if iterations < 1:
         raise InvalidParameterError(f"iterations must be >= 1, got {iterations}")
@@ -254,10 +262,17 @@ def _sctl_star_run(
     partition_of: List[int] = []
     bounds = {}
     engagement: List[int] = []
+    # a kept table gets a row store that keeps the scope between rounds; a
+    # stream is filtered again each round
+    store: Optional[RowStore] = None
     if use_reductions:
         with recorder.span("reductions/engagement"):
-            engagement = [0] * n
-            add_engagement(source, k, engagement)
+            if source.table is not None:
+                store = RowStore(source.table, k, n)
+                engagement = list(store.counts)
+            else:
+                engagement = [0] * n
+                add_engagement(source, k, engagement)
         partition = kp_computation(
             index, k, paths=source, options=RunOptions(recorder=recorder)
         )
@@ -265,11 +280,17 @@ def _sctl_star_run(
         bounds = partition_density_bounds(
             partition, engagement, k, recorder=recorder
         )
+    track = recorder.enabled
+    rows_per_partition = None
+    if store is not None and track:
+        # the rows of each partition, for the connectivity tally
+        rows_per_partition = Counter(
+            partition_of[store.vertices[s]] for s in store.start
+        )
 
     per_iteration: List[IterationStats] = []
     density_history: List[float] = []
     upper_history: List[float] = []
-    track = recorder.enabled
     total_updates = 0
     total_processed = 0
     start_iteration = 1
@@ -334,79 +355,58 @@ def _sctl_star_run(
                 source, graph, k, t, n, use_reductions, in_scope, live,
                 best_density,
             )
-        new_engagement = [0] * n if use_reductions else []
-        updates = 0
-        processed = 0
-        n_paths = 0
-        pruned_connectivity = 0
-        pruned_engagement = 0
-        pivots_dropped = 0
         prev_weights = weights[:] if track else None
         with recorder.span(
             f"refine/iteration/{t}", observe="stage/refine_round"
         ):
-            if engine is not None:
-                (
-                    n_paths, processed, updates, pruned_connectivity,
-                    pruned_engagement, pivots_dropped, exhausted,
-                ) = _parallel_refine_sweep(
-                    engine, k, weights, use_reductions, use_batch,
-                    in_scope, live, new_engagement, budget,
-                )
+            tallies = [0] * 5
+            new_engagement = None
+            if store is not None:
+                # the scope only shrinks: the vertices that left it since
+                # the last round leave the store, which then holds exactly
+                # the rows that survive this round
+                store.remove([
+                    v for v in compress(range(n), store.inside)
+                    if not (in_scope[v] and live[v])
+                ])
+                rows = store
             else:
-                for holds, pivots in source:
-                    n_paths += 1
-                    if budget.active:
-                        exhausted = budget.exceeded()
-                        if exhausted:
-                            break
-                    need = k - len(holds)
-                    if use_reductions:
-                        if not live[holds[0]]:
-                            if track:
-                                pruned_connectivity += 1
-                            continue  # clique-connectivity reduction
-                        if not all(map(in_scope.__getitem__, holds)):
-                            if track:
-                                pruned_engagement += 1
-                            continue  # a hold left the scope: no clique survives
-                        kept = list(
-                            compress(pivots, map(in_scope.__getitem__, pivots))
-                        )
-                        if need < 0 or need > len(kept):
-                            if track:
-                                pruned_engagement += 1
-                            continue
-                        if track:
-                            pivots_dropped += len(pivots) - len(kept)
-                        pivots = kept
-                        count = comb(len(pivots), need)
-                        for v in holds:
-                            new_engagement[v] += count
-                        if need >= 1:
-                            pivot_count = comb(len(pivots) - 1, need - 1)
-                            if pivot_count:
-                                for v in pivots:
-                                    new_engagement[v] += pivot_count
-                    else:
-                        count = comb(len(pivots), need) if need >= 0 else 0
-                    processed += count
-                    if use_batch:
-                        updates += batch_update(weights, holds, pivots, k)
-                    else:
-                        for clique in SCTPath(
-                            tuple(holds), tuple(pivots)
-                        ).iter_cliques(k):
-                            u = min(clique, key=weights.__getitem__)
-                            weights[u] += 1
-                            updates += 1
+                new_engagement = [0] * n if use_reductions else None
+                rows = (
+                    _pooled_rows(
+                        engine, k, in_scope, live, new_engagement, tallies
+                    )
+                    if engine is not None
+                    else scope_rows(
+                        source, k, tallies, in_scope, live, new_engagement
+                    )
+                )
+            updates, swept, exhausted = _sweep(
+                rows, k, weights, use_batch, budget
+            )
+            if store is not None:
+                n_paths = len(store.start)
+                processed = store.cliques
+                rows_swept = swept
+                pruned_connectivity = sum(
+                    count for root, count in rows_per_partition.items()
+                    if not live[root]
+                ) if track else 0
+                pruned_engagement = n_paths - pruned_connectivity - len(store)
+                pivots_dropped = store.dropped
+            else:
+                n_paths, pruned_connectivity, pruned_engagement = tallies[:3]
+                pivots_dropped, processed = tallies[3:]
+                rows_swept = n_paths
             if exhausted:
                 # roll the half-swept iteration back to its entry state so
                 # the reported weights sit exactly on an iteration boundary
                 weights = iter_start_weights
                 break
             if use_reductions:
-                engagement = new_engagement
+                engagement = (
+                    new_engagement if store is None else list(store.counts)
+                )
             if extract_each_round:
                 # re-extract to tighten the achieved density (Line 12)
                 prefix = best_prefix_from_paths(source, weights, k)
@@ -442,6 +442,7 @@ def _sctl_star_run(
             )
             recorder.counter("refine/iterations")
             recorder.counter("refine/paths_swept", n_paths)
+            recorder.counter("refine/rows_swept", rows_swept)
             recorder.observe("refine/paths_per_round", n_paths)
             recorder.counter("refine/cliques_processed", processed)
             recorder.counter("refine/weight_updates", updates)
@@ -571,67 +572,70 @@ def sctl_plus(
     )
 
 
-def _parallel_refine_sweep(
-    engine,
-    k: int,
-    weights: List[int],
-    use_reductions: bool,
-    use_batch: bool,
-    in_scope: Optional[List[bool]],
-    live: Optional[List[bool]],
-    new_engagement: List[int],
-    budget: Budget,
-):
-    """One round of a streamed query, phase A pooled and phase B applied
-    in order.
+def _sweep(rows, k: int, weights: List[int], use_batch: bool, budget: Budget):
+    """Phase B of one round: one unit per k-clique of every row of
+    ``rows``, in order.
 
-    The workers get the round's per-vertex scope tests (``in_scope`` and
-    the live-partition table, both ``None`` without reductions), so they
-    replicate the serial per-path filtering bit for bit without holding
-    the evolving weight vector.  Workers return survivors in path order
-    plus additive engagement deltas; this parent loop applies the weight
-    updates over the merged, ordered survivor stream — the update
-    sequence is the serial one, so the weights are byte-identical for
-    any worker count.
-
-    The budget is polled once per merged chunk; exhaustion abandons the
-    sweep (the caller rolls the weights back to the iteration entry, the
-    same contract as the serial per-path poll).
+    A row with one clique (``t = 0``, or every kept pivot needed) gets its
+    single +1 here, to the first lightest hold when it is strictly below
+    every pivot, else to the first lightest pivot; a row with more goes to
+    Algorithm 4's ``_distribute`` — or, without ``use_batch``, to its
+    cliques one by one.  The budget is polled once when the sweep starts
+    and once per row.  Returns the weight writes, the rows swept and the
+    exhaustion reason, ``None`` when the sweep completed.
     """
-    n_paths = 0
-    processed = 0
     updates = 0
-    pruned_connectivity = 0
-    pruned_engagement = 0
-    pivots_dropped = 0
-    exhausted: Optional[str] = None
-    for surviving, engagement_delta, tallies in engine.refine_sweep(
-        k, in_scope, live
-    ):
+    swept = 0
+    if budget.active:
+        exhausted = budget.exceeded()
+        if exhausted:
+            return updates, swept, exhausted
+    weight = weights.__getitem__
+    for holds, pivots in rows:
         if budget.active:
             exhausted = budget.exceeded()
             if exhausted:
-                break
-        for holds, pivots, count in surviving:
-            processed += count
-            if use_batch:
-                updates += batch_update(weights, holds, pivots, k)
-            else:
-                for clique in SCTPath(holds, pivots).iter_cliques(k):
-                    u = min(clique, key=weights.__getitem__)
-                    weights[u] += 1
-                    updates += 1
-        if use_reductions:
-            for v, delta in engagement_delta.items():
-                new_engagement[v] += delta
-        n_paths += tallies[0]
-        pruned_connectivity += tallies[1]
-        pruned_engagement += tallies[2]
-        pivots_dropped += tallies[3]
-    return (
-        n_paths, processed, updates, pruned_connectivity,
-        pruned_engagement, pivots_dropped, exhausted,
-    )
+                return updates, swept, exhausted
+        swept += 1
+        t = k - len(holds)
+        if not use_batch:
+            for clique in SCTPath(tuple(holds), tuple(pivots)).iter_cliques(k):
+                u = min(clique, key=weight)
+                weights[u] += 1
+                updates += 1
+        elif t == 0 or t == len(pivots):
+            v = min(holds, key=weight)
+            if t:
+                u = min(pivots, key=weight)
+                if weights[u] <= weights[v]:
+                    v = u
+            weights[v] += 1
+            updates += 1
+        else:
+            updates += _distribute(
+                weights, list(holds), list(pivots), k, comb(len(pivots), t)
+            )
+    return updates, swept, None
+
+
+def _pooled_rows(engine, k: int, in_scope, live, counts, tallies: List[int]):
+    """The rows of a streamed round, filtered in the pool (phase A).
+
+    Each worker runs :func:`~repro.core.sct.scope_rows` over a contiguous
+    path shard and returns its survivors in path order, its engagement
+    and its tallies; merged in chunk order they are the serial stream's,
+    so the weights phase B writes from them are byte-identical for any
+    worker count.
+    """
+    for surviving, engagement, chunk_tallies in engine.refine_sweep(
+        k, in_scope, live
+    ):
+        if counts is not None:
+            for v, delta in engagement.items():
+                counts[v] += delta
+        for i, tally in enumerate(chunk_tallies):
+            tallies[i] += tally
+        yield from surviving
 
 
 def _scope_snapshot(

@@ -36,7 +36,7 @@ import os
 import signal
 import time
 import weakref
-from math import comb
+from collections import defaultdict
 from multiprocessing import TimeoutError as _PoolTimeout
 from multiprocessing import resource_tracker, shared_memory
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -178,74 +178,48 @@ def _op_count(index, lo, hi, k, enforce_support, payload):
 
 
 def _op_vertex_counts(index, lo, hi, k, enforce_support, payload):
-    counts: Dict[int, int] = {}
-    for path in index.iter_paths(
-        k, enforce_support=enforce_support, _root_slice=(lo, hi)
-    ):
-        total = path.clique_count(k)
-        if not total:
-            continue
-        for v in path.holds:
-            counts[v] = counts.get(v, 0) + total
-        with_pivot = path.pivot_engagement(k)
-        if with_pivot:
-            for v in path.pivots:
-                counts[v] = counts.get(v, 0) + with_pivot
-    return counts
+    from ..core.sct import add_engagement
+
+    counts: Dict[int, int] = defaultdict(int)
+    add_engagement(
+        (
+            (path.holds, path.pivots)
+            for path in index.iter_paths(
+                k, enforce_support=enforce_support, _root_slice=(lo, hi)
+            )
+        ),
+        k,
+        counts,
+    )
+    return dict(counts)
 
 
 def _op_refine(index, lo, hi, k, enforce_support, payload):
-    """Phase A of one SCTL* refinement sweep, over one chunk.
+    """Phase A of one streamed refinement round, over one chunk.
 
-    Replicates the serial per-path filtering exactly: connectivity bound
-    (the round's live-partition table ``live``, indexed by the path's
-    first hold), engagement filter (``in_scope``), then Lemma-2 counting.  Weight updates are *not*
+    Runs the serial stream's filter (:func:`~repro.core.sct.scope_rows`)
+    with the round's ``(in_scope, live)`` tables — ``(None, None)`` keeps
+    every row whole — and returns the survivors in path order, their
+    engagement and the filter's tallies.  Weight updates are *not*
     applied here — order matters for byte-parity, so the parent applies
     them over the merged, ordered stream of survivors (phase B).
-    ``payload=(None, None)`` is the no-reductions mode: every path
-    survives with its raw holds/pivots.
     """
+    from ..core.sct import scope_rows
+
     in_scope, live = payload
-    surviving: List[Tuple[Tuple[int, ...], Tuple[int, ...], int]] = []
-    engagement_delta: Dict[int, int] = {}
-    n_paths = 0
-    pruned_connectivity = 0
-    pruned_engagement = 0
-    pivots_dropped = 0
-    for path in index.iter_paths(
-        k, enforce_support=enforce_support, _root_slice=(lo, hi)
-    ):
-        n_paths += 1
-        if in_scope is None:
-            surviving.append((path.holds, path.pivots, path.clique_count(k)))
-            continue
-        if not live[path.holds[0]]:
-            pruned_connectivity += 1
-            continue
-        holds = [v for v in path.holds if in_scope[v]]
-        if len(holds) != len(path.holds):
-            pruned_engagement += 1
-            continue
-        pivots = [v for v in path.pivots if in_scope[v]]
-        need = k - len(holds)
-        if need < 0 or need > len(pivots):
-            pruned_engagement += 1
-            continue
-        pivots_dropped += len(path.pivots) - len(pivots)
-        count = comb(len(pivots), need)
-        for v in holds:
-            engagement_delta[v] = engagement_delta.get(v, 0) + count
-        if need >= 1:
-            pivot_count = comb(len(pivots) - 1, need - 1)
-            if pivot_count:
-                for v in pivots:
-                    engagement_delta[v] = engagement_delta.get(v, 0) + pivot_count
-        surviving.append((tuple(holds), tuple(pivots), count))
-    return (
-        surviving,
-        engagement_delta,
-        (n_paths, pruned_connectivity, pruned_engagement, pivots_dropped),
+    engagement: Dict[int, int] = defaultdict(int)
+    tallies = [0] * 5
+    rows = (
+        (path.holds, path.pivots)
+        for path in index.iter_paths(
+            k, enforce_support=enforce_support, _root_slice=(lo, hi)
+        )
     )
+    surviving = list(scope_rows(
+        rows, k, tallies, in_scope, live,
+        engagement if in_scope is not None else None,
+    ))
+    return surviving, dict(engagement), tallies
 
 
 _SWEEP_OPS = {

@@ -18,6 +18,7 @@ import math
 import signal
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -35,6 +36,10 @@ __all__ = ["HTTPFront", "exchange", "first_envelope", "serve_until_signalled"]
 
 _NDJSON = "application/x-ndjson"
 _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
+# the longest a handler waits for a request body once its headers are in:
+# a client that declares more bytes than it sends gets a code-2 envelope
+# then, instead of holding its thread and the drain
+_BODY_TIMEOUT_S = 10.0
 
 
 def _status_for(service, envelopes) -> Tuple[int, Optional[int]]:
@@ -109,27 +114,75 @@ class _FrontHandler(BaseHTTPRequestHandler):
         )
 
     def _read_body(self) -> Optional[str]:
-        """The request body, or None once a malformed one is refused."""
+        """The request body, or None once a malformed one is refused.
+
+        A refused body is left unread or read only in part, so the stream
+        cannot be framed further and the connection closes after the
+        code-2 envelope.
+        """
+        encoding = self.headers.get("Transfer-Encoding")
+        if encoding is not None:
+            self.close_connection = True
+            self._refuse(
+                None,
+                f"Transfer-Encoding {encoding!r} is not supported: "
+                "send a Content-Length",
+            )
+            return None
         value = self.headers.get("Content-Length", "0")
         try:
             length = int(value)
         except ValueError:
             length = -1
         if length < 0:
-            # the body is left unread (a negative length would read to
-            # EOF, holding this thread and the drain while the client
-            # stays connected), so the stream cannot be framed further
+            # a negative length would read to EOF, holding this thread and
+            # the drain while the client stays connected
             self.close_connection = True
             self._refuse(
                 None,
                 f"Content-Length {value!r} is not a non-negative integer",
             )
             return None
+        body = self._read_exactly(length)
+        if len(body) < length:
+            self.close_connection = True
+            try:
+                self._refuse(
+                    None,
+                    f"request body ended after {len(body)} of {length} "
+                    f"bytes (Content-Length) within {_BODY_TIMEOUT_S:g} s",
+                )
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the client hung up: nobody is left to answer
+            return None
         try:
-            return self.rfile.read(length).decode("utf-8")
+            return body.decode("utf-8")
         except UnicodeDecodeError as exc:
             self._refuse(None, f"request body is not UTF-8: {exc}")
             return None
+
+    def _read_exactly(self, length: int) -> bytes:
+        """Up to ``length`` body bytes: fewer when the client stops
+        sending (EOF) or ``_BODY_TIMEOUT_S`` passes first."""
+        deadline = time.monotonic() + _BODY_TIMEOUT_S
+        chunks = []
+        got = 0
+        try:
+            while got < length:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self.connection.settimeout(remaining)
+                chunk = self.rfile.read1(length - got)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                got += len(chunk)
+        except TimeoutError:
+            pass
+        finally:
+            self.connection.settimeout(self.timeout)
+        return b"".join(chunks)
 
     def _op(self, ops) -> Optional[str]:
         """The op ``/v1/<op>`` names, or None once the path is refused."""

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from repro.core import batch_update
+from repro.core.batch import _distribute
 
 
 def _distribute_recursive(weights, h, p, k, budget):
@@ -95,6 +96,34 @@ class TestIterativeRecursiveParity:
 
         assert got == want
         assert got_updates == want_updates
+
+
+class TestSplitsAndOneCliqueLeaves:
+    """``_distribute`` writes a subproblem with one clique left directly
+    and reads each step's levels once; the recursion stays the oracle,
+    on tie-heavy weights and budgets that stop partway."""
+
+    @pytest.mark.parametrize("trial", range(200))
+    def test_partial_budgets_match_the_recursion(self, trial):
+        rng = random.Random(31000 + trial)
+        n_holds = rng.randint(0, 3)
+        n_pivots = rng.randint(1, 8)
+        t = rng.randint(1, n_pivots)
+        k = n_holds + t
+        holds = list(range(n_holds))
+        pivots = list(range(n_holds, n_holds + n_pivots))
+        start = [rng.randint(0, 3) for _ in range(n_holds + n_pivots)]
+        budget = rng.randint(1, comb(n_pivots, t))
+
+        got = list(start)
+        got_updates = _distribute(got, list(holds), list(pivots), k, budget)
+        want = list(start)
+        want_updates = _distribute_recursive(
+            want, list(holds), list(pivots), k, budget
+        )
+        assert got == want
+        assert got_updates == want_updates
+        assert sum(got) - sum(start) == budget
 
 
 class TestMassConservation:

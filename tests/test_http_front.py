@@ -6,8 +6,9 @@ a router (``make_router`` over one in-process worker).  The cases pin
 what a client can observe on the wire: status codes, exact probe
 payloads, content types, the ``Server`` header, and the code-2
 envelope for every malformed request, including malformed framing
-(``Content-Length`` or body encoding), which is sent over a raw socket
-because a well-behaved client library cannot produce it.
+(``Content-Length``, ``Transfer-Encoding``, a body shorter than its
+length, or its encoding), which is sent over a raw socket because a
+well-behaved client library cannot produce it.
 """
 
 import http.client
@@ -17,6 +18,7 @@ import threading
 
 import pytest
 
+from repro.service import http as front_http
 from repro.service import (
     RouterConfig,
     ServiceConfig,
@@ -214,7 +216,25 @@ FRAMING = {
     "non-integer-length": (b"Content-Length: abc\r\n", b"{}", True),
     "negative-length": (b"Content-Length: -1\r\n", b"{}", True),
     "non-utf8-body": (b"Content-Length: 2\r\n", b"\xff\xfe", False),
+    # the chunks must not be served as an empty body and then parsed as
+    # the next request line
+    "chunked-body": (
+        b"Transfer-Encoding: chunked\r\n",
+        b'f\r\n{"op": "stats"}\r\n0\r\n\r\n',
+        True,
+    ),
 }
+
+
+def refusal(response):
+    """The one code-2 envelope of a 400 response."""
+    response.begin()
+    assert response.status == 400
+    assert response.getheader("Content-Type") == NDJSON
+    (line,) = response.read().decode("utf-8").splitlines()
+    env = json.loads(line)
+    assert env["code"] == 2
+    return env
 
 
 @pytest.mark.parametrize("case", sorted(FRAMING))
@@ -227,12 +247,7 @@ def test_malformed_framing_is_400(front, case):
             b"POST /v1/stats HTTP/1.1\r\nHost: test\r\n" + header
             + b"\r\n" + body
         )
-        response.begin()
-        assert response.status == 400
-        assert response.getheader("Content-Type") == NDJSON
-        (line,) = response.read().decode("utf-8").splitlines()
-        env = json.loads(line)
-        assert env["code"] == 2
+        env = refusal(response)
         assert env["error"]
         if closes:
             # the body was not read, so the connection cannot be reused
@@ -242,3 +257,30 @@ def test_malformed_framing_is_400(front, case):
         # for the body would hold ``server_close()``
         response.close()
         sock.close()
+
+
+def test_short_body_is_400_and_releases_the_drain(front, monkeypatch, capfd):
+    """A client that declares more body than it sends and stays connected
+    holds neither its handler thread nor ``server_close()`` past the body
+    timeout, and still gets a code-2 envelope."""
+    monkeypatch.setattr(front_http, "_BODY_TIMEOUT_S", 0.5, raising=False)
+    sock = socket.create_connection(("127.0.0.1", front.port), timeout=10)
+    response = http.client.HTTPResponse(sock, method="POST")
+    try:
+        sock.sendall(
+            b"POST /v1/stats HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 100\r\n\r\n{}"
+        )
+        front.service.drain()
+        closer = threading.Thread(target=front.close, daemon=True)
+        closer.start()
+        closer.join(timeout=10)
+        assert not closer.is_alive(), "server_close() waits on the client"
+        env = refusal(response)
+        assert env["error"].startswith("request body ended after 2 of 100")
+        assert sock.recv(1) == b""  # and the server closed the connection
+    finally:
+        response.close()
+        sock.close()
+    err = capfd.readouterr().err
+    assert "Traceback" not in err and "BrokenPipe" not in err, err

@@ -149,8 +149,9 @@ class TestSctlStarResumeParity:
         """A deadline tripping mid-sweep reports the last completed round."""
         full3 = sctl_star(index, 4, iterations=3)
         # the counting clock exhausts the deadline partway through a sweep
-        # (each sweep burns ~41 polls: 40 paths + the round boundary)
-        budget = RunBudget(wall_seconds=150, clock=counting_clock())
+        # (each of the first rounds burns 20 polls: the round boundary, the
+        # sweep's start and the 18 rows left in scope)
+        budget = RunBudget(wall_seconds=50, clock=counting_clock())
         part = sctl_star(
             index, 4, iterations=10, options=RunOptions(budget=budget)
         )
