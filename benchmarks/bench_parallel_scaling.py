@@ -8,8 +8,8 @@ Three questions, all on the largest bundled dataset (``friendster``):
    order, so the useful work parallelises fully and only the splice is
    sequential.
 2. **Sweep scaling** — one SCTL* refinement pass per worker count.
-3. **Parity** — the sharded build must serialise byte-identically to the
-   serial one, whatever the measured speedup says.
+3. **Parity** — the sharded build must save (format v2) byte-identically
+   to the serial one, whatever the measured speedup says.
 
 Speedup is reported against the measured machine: the table carries
 ``os.cpu_count()`` because a container pinned to one core *cannot* show
@@ -20,6 +20,7 @@ always run.  ``--quick`` (or ``pytest``) keeps CI cheap: the small
 ``email`` dataset, one repeat, parity-focused.
 """
 
+import io
 import os
 import statistics
 import sys
@@ -38,11 +39,10 @@ REPEATS = 3
 SPEEDUP_TARGET = 1.8  # at 4 workers, on a host with >= 4 cores
 
 
-def _serialized(index) -> str:
-    import io
-
-    buf = io.StringIO()
-    index._write(buf)
+def _serialized(index) -> bytes:
+    """The v2 bytes ``index.save`` would write."""
+    buf = io.BytesIO()
+    index._write_v2(buf)
     return buf.getvalue()
 
 
@@ -98,7 +98,10 @@ def measure(name=DATASET, repeats=REPEATS):
 
 
 def render(name=DATASET, repeats=REPEATS) -> str:
-    rows, speedups = measure(name, repeats)
+    return _report(*measure(name, repeats), name)
+
+
+def _report(rows, speedups, name) -> str:
     cores = os.cpu_count() or 1
     table = format_table(
         ["stage", "workers", "median s", "speedup", "byte parity"],
@@ -136,7 +139,8 @@ class TestParallelScaling:
 
 if __name__ == "__main__":
     quick = "--quick" in sys.argv
-    print(render(
-        QUICK_DATASET if quick else DATASET,
-        1 if quick else REPEATS,
-    ))
+    name = QUICK_DATASET if quick else DATASET
+    rows, speedups = measure(name, 1 if quick else REPEATS)
+    print(_report(rows, speedups, name))
+    if any(parity is False for *_, parity in rows):
+        sys.exit("FAIL: a parallel build did not save byte-identically")

@@ -85,7 +85,7 @@ from .resilience import (
     RunBudget,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Graph",

@@ -215,7 +215,7 @@ def _cmd_build_index(args: argparse.Namespace) -> int:
                 )
             return EXIT_EXHAUSTED
         elapsed = time.perf_counter() - start
-        index.save(args.output, format=args.format)
+        index.save(args.output)
     print(f"built {index!r} in {elapsed:.3f}s -> {args.output}")
     return 0
 
@@ -589,11 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--threshold", type=int, default=0,
         help="partial SCT*-k'-Index threshold (0 = complete index)",
-    )
-    build.add_argument(
-        "--format", type=int, choices=(1, 2), default=2,
-        help="on-disk format: 2 = binary columns, mmap-loadable "
-             "(default); 1 = legacy JSON-lines text",
     )
     _add_obs_flags(build)
     _add_resilience_flags(build)

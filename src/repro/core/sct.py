@@ -1210,54 +1210,20 @@ class SCTIndex:
     # serialization
     # ------------------------------------------------------------------
 
-    def save(self, path, format: Optional[int] = None) -> None:
-        """Persist the index to ``path`` (see ``docs/index-format.md``).
+    def save(self, path) -> None:
+        """Persist the index to ``path`` as format v2.
 
-        ``format=2`` (the default) writes the flat columns as a binary
-        section after a JSON header line, so :meth:`load` becomes an
-        ``mmap`` plus a view cast.  ``format=1`` writes the legacy
-        JSON-lines text format — portable, diff-able, and readable by
-        older checkouts.
+        See ``docs/index-format.md``: the only format the library writes.
 
-        Either write is crash-safe: content goes to a temporary file in
-        the same directory which then atomically replaces ``path``, so a
-        crash (or injected fault) mid-save leaves any previous index at
-        ``path`` intact and readable.
+        The flat columns follow a JSON header line as a binary section, so
+        :meth:`load` becomes an ``mmap`` plus a view cast.  The write
+        is crash-safe: content goes to a temporary file in the same
+        directory which then atomically replaces ``path``, so a crash (or
+        injected fault) mid-save leaves any previous index at ``path``
+        intact and readable.
         """
-        if format is None:
-            format = sct_format.FORMAT_V2
-        if format == sct_format.FORMAT_V1:
-            with atomic_writer(path) as handle:
-                self._write(handle)
-        elif format == sct_format.FORMAT_V2:
-            with atomic_writer(path, binary=True) as handle:
-                self._write_v2(handle)
-        else:
-            supported = ", ".join(str(v) for v in sct_format.SUPPORTED_FORMATS)
-            raise IndexBuildError(
-                f"unknown index format {format!r}; supported: {supported}"
-            )
-
-    def _write(self, handle: IO[str]) -> None:
-        """Serialise the index onto an open text handle (format v1).
-
-        Format: one JSON header line, then one line per tree node in
-        pre-order id order: ``vertex label max_depth n_children child_ids``.
-        Byte-identical to the pre-CSR object-tree writer, so v1 files
-        remain the cross-version parity oracle.
-        """
-        header = {
-            "format": sct_format.FORMAT_V1,
-            "n_vertices": self._n_vertices,
-            "n_nodes": len(self._vertex),
-            "threshold": self._threshold,
-        }
-        handle.write(json.dumps(header) + "\n")
-        for i in range(len(self._vertex)):
-            kids = self._children_of(i)
-            fields = [self._vertex[i], self._label[i], self._max_depth[i], len(kids)]
-            fields.extend(kids)
-            handle.write(" ".join(map(str, fields)) + "\n")
+        with atomic_writer(path, binary=True) as handle:
+            self._write_v2(handle)
 
     def _write_v2(self, handle: IO[bytes]) -> None:
         """Serialise the flat columns onto an open binary handle (format v2)."""
@@ -1271,14 +1237,15 @@ class SCTIndex:
 
     @classmethod
     def load(cls, path) -> "SCTIndex":
-        """Load an index previously written by :meth:`save`, any format.
+        """Load an index written by :meth:`save`, or a legacy v1 file.
 
         The JSON header names the format: v2 files are memory-mapped
         (columns become zero-copy views, so load time is independent of
-        index size), v1 files go through the legacy text parser and are
-        canonicalised to the flat column layout.  A file of an unknown
-        version fails with an :class:`~repro.errors.IndexBuildError`
-        naming the found and supported versions.
+        index size), v1 files — no longer written, still read — go
+        through the text parser and are canonicalised to the flat column
+        layout.  A file of an unknown version fails with an
+        :class:`~repro.errors.IndexBuildError` naming the found and
+        supported versions.
         """
         header = sct_format.peek_header(path)
         found = header.get("format")

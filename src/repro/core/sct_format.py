@@ -5,8 +5,8 @@ field names the version — so any reader can cheaply identify a file it
 cannot parse and fail with a precise error instead of a decode traceback:
 
 * **v1** — JSON header line, then one text line per tree node
-  (``vertex label max_depth n_children child_ids...``).  Portable and
-  diff-able; parsing is linear in the node count.
+  (``vertex label max_depth n_children child_ids...``).  Parsing is
+  linear in the node count.  Read only: the library writes v2.
 * **v2** — JSON header line padded with spaces to an 8-byte boundary,
   then the flat index columns as raw little-endian ``int64`` sections in
   the order of :data:`COLUMNS`.  Loading is an ``mmap`` plus a

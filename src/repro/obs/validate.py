@@ -592,9 +592,9 @@ def _validate_update_bench(entry: Any) -> List[str]:
     return errors
 
 
-# optional bench (records predating the fleet stay valid): mixed
-# cold/warm load through the router at 1 vs N workers
-# (scripts/bench_fleet.py)
+# optional bench: mixed cold/warm load through the router at 1 vs N
+# workers, from the fleet bench script that perfbench's fleet-serve
+# workload replaced; records that carry one must stay valid
 def _validate_fleet_bench(entry: Any) -> List[str]:
     if not isinstance(entry, dict):
         return ["benches.fleet must be an object"]

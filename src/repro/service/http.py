@@ -13,9 +13,12 @@ is the client end, shared by the retrying client and the router.
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
+import selectors
 import signal
+import socket
 import sys
 import threading
 import time
@@ -75,6 +78,13 @@ def _json_line(payload: Dict[str, Any]) -> bytes:
     return (json.dumps(payload) + "\n").encode("utf-8")
 
 
+def _readable(connection) -> bool:
+    """Whether ``connection`` has bytes, or its end, to read right now."""
+    with selectors.DefaultSelector() as selector:
+        selector.register(connection, selectors.EVENT_READ)
+        return bool(selector.select(0))
+
+
 class _FrontHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
@@ -87,6 +97,22 @@ class _FrontHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # access logging lives in the recorder, not stderr
+
+    def handle(self) -> None:
+        """Answer requests until the client hangs up, or until the server
+        closes while this connection waits for its next request line."""
+        self.close_connection = False
+        try:
+            while not self.close_connection and self.server._idle_begins(
+                self.connection
+            ):
+                self.handle_one_request()
+        finally:
+            self.server._idle_ends(self.connection)
+
+    def parse_request(self) -> bool:
+        self.server._idle_ends(self.connection)  # a request line is in
+        return super().parse_request()
 
     def _respond(
         self, status: int, body: bytes,
@@ -264,7 +290,53 @@ class HTTPFront(ThreadingHTTPServer):
     def __init__(self, address, service, name: str):
         self.service = service
         self.name = name
+        # connections waiting for a request line, which server_close
+        # ends instead of joining: an idle keep-alive client would
+        # otherwise hold the drain for as long as it stays connected
+        self._idle = set()
+        self._idle_lock = threading.Lock()
+        self._closing = False
         super().__init__(address, _FrontHandler)
+
+    def _idle_begins(self, connection) -> bool:
+        """Mark ``connection`` as waiting for a request.  Once the server
+        is closing, False (the handler hangs up) unless a request has
+        already arrived."""
+        with self._idle_lock:
+            if not self._closing:
+                self._idle.add(connection)
+                return True
+        return _readable(connection)
+
+    def _idle_ends(self, connection) -> None:
+        with self._idle_lock:
+            self._idle.discard(connection)
+
+    def server_close(self) -> None:
+        """Stop accepting, end idle connections, and join the handlers.
+
+        Connections still in the listen backlog get a handler first:
+        closing the listening socket would reset them unanswered.  An
+        idle handler's read sees end-of-stream and it hangs up.  A
+        handler in the middle of a request, or whose next request has
+        already arrived, writes its whole response first and then finds
+        the server closing.
+        """
+        try:
+            self.socket.setblocking(False)
+            while True:
+                self.process_request(*self.get_request())
+        except OSError:
+            pass  # the backlog is empty, or the socket is already closed
+        with self._idle_lock:
+            self._closing = True
+            for connection in self._idle:
+                try:
+                    if not _readable(connection):
+                        connection.shutdown(socket.SHUT_RD)
+                except (OSError, ValueError):
+                    pass  # already gone
+        super().server_close()
 
 
 def serve_until_signalled(
@@ -314,7 +386,8 @@ def exchange(
 
     POSTs ``body`` as ND-JSON, or GETs when it is None.  Error statuses
     are returned; a connection-level failure raises ``OSError``
-    (:class:`urllib.error.URLError` among them).
+    (:class:`urllib.error.URLError` among them), and so does a response
+    the peer cut short or garbled (a ``ConnectionError``).
     """
     request = urllib.request.Request(
         url,
@@ -326,11 +399,14 @@ def exchange(
         response = urllib.request.urlopen(request, timeout=timeout_s)
     except urllib.error.HTTPError as exc:
         response = exc  # an error status with a readable body
+    except http.client.HTTPException as exc:  # e.g. a bad status line
+        raise ConnectionError(f"malformed response: {exc!r}") from exc
     with response:
-        return (
-            response.status, response.headers.get("Retry-After"),
-            response.read(),
-        )
+        try:
+            payload = response.read()
+        except http.client.HTTPException as exc:  # e.g. IncompleteRead
+            raise ConnectionError(f"response cut short: {exc!r}") from exc
+        return response.status, response.headers.get("Retry-After"), payload
 
 
 def first_envelope(payload: bytes) -> Optional[Dict[str, Any]]:

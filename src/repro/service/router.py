@@ -30,6 +30,9 @@ On top of plain placement the router adds:
   and replayed to every worker serving a replica of that graph, and to
   any worker that later becomes an owner cold (ring reassignment), so
   ``graph_version`` stays monotonic per graph across the whole fleet.
+  The log keeps a graph's first ``_UPDATE_LOG_CAP`` batches; a worker
+  that lacks a later one gets an error envelope for that graph's keys,
+  never a stale answer.
 * a **versioned topology surface** — ``GET /v1/topology`` returns the
   ring epoch, worker table and replica map (``repro/topology-v1``);
   every response that crosses the router is stamped ``ring_epoch`` (and
@@ -37,8 +40,10 @@ On top of plain placement the router adds:
   topology-aware clients notice membership changes.
 
 The router holds no graph data and builds no indices — it is a thin
-placement layer, which is exactly what lets a loopback fleet scale cold
-builds near-linearly (see ``scripts/bench_fleet.py``).
+placement layer, so cold builds of distinct keys run in parallel on
+distinct workers.  perfbench's ``fleet-serve`` workload measures a
+router and two workers under load, and ``tests/test_fleet.py`` SIGKILLs
+a worker under load from several client threads.
 """
 
 from __future__ import annotations
@@ -94,12 +99,36 @@ _ANNOUNCE_PREFIX = "repro service listening on "
 _PLACED_OPS = ("query", "build", "profile", "update")
 
 # hard cap on replayable updates retained per graph; a graph past the
-# cap stops being replicated (correctness first: replicas that cannot
-# be converged are not served)
+# cap stops being replicated, and a worker that lacks a batch past the
+# cap is refused (correctness first: a worker that cannot be converged
+# is not served)
 _UPDATE_LOG_CAP = 512
 
 # at most this many keys hold warm replicas at once
 _MAX_REPLICATED_KEYS = 8
+
+# how long a dropped connection waits for a managed worker's process to
+# exit: a killed process drops its connections before it can be reaped
+_EXIT_GRACE_S = 1.0
+
+
+class _Unconverged(Exception):
+    """A worker lacks committed update batches that the capped log no
+    longer holds, so it cannot be brought to the graph's version."""
+
+    def __init__(
+        self, worker_id: str, graph: str, applied: int, committed: int
+    ):
+        super().__init__(
+            f"worker {worker_id} has applied {applied} of the {committed} "
+            f"committed update batches of this graph and the router keeps "
+            f"only the first {_UPDATE_LOG_CAP} for replay; refusing rather "
+            f"than serving a stale answer"
+        )
+        self.fields = {
+            "worker_id": worker_id, "graph": graph,
+            "applied": applied, "committed": committed,
+        }
 
 
 @dataclass
@@ -310,10 +339,12 @@ class RouterService:
         # canonical key -> ordered replica worker ids (owner excluded)
         self._replicas: Dict[str, List[str]] = {}
         self._rr: Dict[str, int] = {}
-        # per-graph replayable update history + per-(worker, graph)
-        # applied counts; both only consulted when a graph has updates
+        # per graph: the replayable update history (the first
+        # _UPDATE_LOG_CAP batches) and the committed batch count, past the
+        # cap too; per (worker, graph): the batches applied.  All are only
+        # consulted when a graph has updates
         self._update_log: Dict[str, List[Dict[str, Any]]] = {}
-        self._log_overflow: Dict[str, bool] = {}
+        self._committed: Dict[str, int] = {}
         self._converged: Dict[Tuple[str, str], int] = {}
         self._graph_locks: Dict[str, threading.Lock] = {}
         self._tracker = HotKeyTracker(
@@ -331,6 +362,15 @@ class RouterService:
     def _count(self, name: str, amount: int = 1) -> None:
         with self._rec_lock:
             self._recorder.counter(name, amount)
+
+    def _event(self, name: str, **fields: Any) -> None:
+        """A structured event: on the recorder and as a JSON stderr line."""
+        with self._rec_lock:
+            self._recorder.event(name, **fields)
+        print(
+            json.dumps({"event": name, **fields}, sort_keys=True),
+            file=sys.stderr, flush=True,
+        )
 
     def _observe(self, name: str, value: float) -> None:
         with self._rec_lock:
@@ -406,23 +446,38 @@ class RouterService:
     def _note_worker_failure(self, worker: _Worker, exc: BaseException) -> None:
         """A connection-level failure talking to ``worker``.
 
-        A provably dead process (the manager watched it exit) leaves the
-        ring immediately — reassignment, not cooldown.  Without a
-        manager (static fleet) a refused connection is the same proof.
+        A provably dead worker leaves the ring immediately —
+        reassignment, not cooldown: nothing listens on its port any more
+        (a refused connection: a worker closes its socket only to exit),
+        or the manager sees its process exit — after a dropped
+        connection within ``_EXIT_GRACE_S``, since a killed process drops
+        its connections before it can be reaped.  Without a manager
+        (static fleet) any dropped connection is the same proof.
         Anything softer (timeout on a live process) just feeds the
         breaker so a struggling worker sheds load without losing its
         keys.
         """
         worker.breaker.record_failure(exc)
         self._count(f"router/worker_errors/{worker.worker_id}")
-        dead = (
-            self.manager is not None
-            and not self.manager.alive(worker.worker_id)
-        ) or (
-            self.manager is None and isinstance(exc, ConnectionError)
-        )
+        dropped = isinstance(exc, ConnectionError)
+        if self.manager is None:
+            dead = dropped
+        else:
+            dead = isinstance(exc, ConnectionRefusedError) or self._exits(
+                worker.worker_id, _EXIT_GRACE_S if dropped else 0.0
+            )
         if dead:
             self._remove_worker(worker.worker_id)
+
+    def _exits(self, worker_id: str, within_s: float) -> bool:
+        """Whether the manager sees the worker's process exit within
+        ``within_s`` seconds."""
+        deadline = time.monotonic() + within_s
+        while self.manager.alive(worker_id):
+            if time.monotonic() >= deadline:
+                return False
+            time.sleep(0.01)
+        return True
 
     def _remove_worker(self, worker_id: str) -> bool:
         with self._lock:
@@ -453,8 +508,10 @@ class RouterService:
     def _ensure_converged(self, worker: _Worker, graph: str) -> None:
         """Replay any update batches ``worker`` has not applied yet.
 
-        Caller holds the graph lock.  Raises on a replay that fails, so
-        callers never treat an unconverged worker as servable.
+        Caller holds the graph lock.  Raises ``OSError`` on a replay that
+        fails and :class:`_Unconverged` when the worker lacks a batch the
+        log no longer holds, so callers never treat an unconverged worker
+        as servable.
         """
         log = self._update_log.get(graph)
         if not log:
@@ -470,21 +527,38 @@ class RouterService:
             applied += 1
             self._converged[(worker.worker_id, graph)] = applied
             self._count("router/update_replays")
+        committed = self._committed[graph]
+        if applied < committed:
+            raise _Unconverged(worker.worker_id, graph, applied, committed)
 
-    def _log_update(self, graph: str, entry: Dict[str, Any]) -> None:
-        """Append one committed batch to the graph's replay log."""
+    def _overflowed(self, graph: str) -> bool:
+        return self._committed.get(graph, 0) > _UPDATE_LOG_CAP
+
+    def _log_update(self, graph: str, entry: Dict[str, Any]) -> int:
+        """Count one committed batch and keep it for replay, up to the
+        cap; returns the graph's committed batch count."""
+        committed = self._committed[graph] = self._committed.get(graph, 0) + 1
         log = self._update_log.setdefault(graph, [])
-        if len(log) >= _UPDATE_LOG_CAP:
-            if not self._log_overflow.get(graph):
-                self._log_overflow[graph] = True
-                self._count("router/update_log/overflow")
-            # past the cap new owners/replicas can no longer be
-            # converged: stop replicating this graph's keys
-            for key, _ids in list(self._replicas.items()):
-                if graph_string(key) == graph:
-                    del self._replicas[key]
-            return
-        log.append(entry)
+        if not self._overflowed(graph):
+            log.append(entry)
+            return committed
+        if committed == _UPDATE_LOG_CAP + 1:
+            self._count("router/update_log/overflow")
+            self._event(
+                "update_log_overflow", graph=graph, cap=_UPDATE_LOG_CAP
+            )
+        # past the cap new owners/replicas can no longer be
+        # converged: stop replicating this graph's keys
+        for key, _ids in list(self._replicas.items()):
+            if graph_string(key) == graph:
+                del self._replicas[key]
+        return committed
+
+    def _refuse(self, op: str, exc: _Unconverged) -> Dict[str, Any]:
+        """The error envelope for a worker that cannot be converged."""
+        self._count("router/update_log/refused")
+        self._event("update_log_refused", op=op, **exc.fields)
+        return error_envelope(op, CODE_ERROR, str(exc))
 
     # -- request handling -----------------------------------------------
 
@@ -592,6 +666,11 @@ class RouterService:
                     last_error = exc
                     self._note_worker_failure(worker, exc)
                     continue
+                except _Unconverged as exc:
+                    # the worker is healthy, only behind: no breaker
+                    # failure, and it keeps its place in the ring
+                    worker.breaker.release_probe()
+                    return self._refuse(op, exc)
                 worker.breaker.record_success()
                 self._count(f"router/forwarded/{worker_id}")
                 return env
@@ -640,6 +719,8 @@ class RouterService:
                     f"owner {owner_id} unreachable mid-update; the batch "
                     f"may or may not have been applied: {exc!r}",
                 )
+            except _Unconverged as exc:
+                return self._refuse("update", exc)
             worker.breaker.record_success()
             if status != 200 or not env.get("applied"):
                 return env  # rejected / failed on the owner: no fan-out
@@ -647,9 +728,9 @@ class RouterService:
                 k: v for k, v in obj.items()
                 if not k.startswith("_") and k != "request_id"
             }
-            self._log_update(graph, entry)
-            log_len = len(self._update_log.get(graph, ()))
-            self._converged[(worker.worker_id, graph)] = log_len
+            self._converged[(worker.worker_id, graph)] = self._log_update(
+                graph, entry
+            )
             env["fanout"] = self._fan_out_update(graph, exclude=owner_id)
         return env
 
@@ -726,7 +807,7 @@ class RouterService:
         for key in hot[:_MAX_REPLICATED_KEYS]:
             with self._lock:
                 have = bool(self._replicas.get(key))
-                overflowed = self._log_overflow.get(graph_string(key))
+                overflowed = self._overflowed(graph_string(key))
             if have or overflowed or len(self.ring) < 2:
                 continue
             self._promote(key)
@@ -767,6 +848,9 @@ class RouterService:
             except OSError as exc:
                 self._note_worker_failure(worker, exc)
                 continue
+            except _Unconverged:
+                worker.breaker.release_probe()
+                continue  # the graph overflowed since the caller checked
             worker.breaker.record_success()
             if status == 200 and env.get("code") == CODE_OK:
                 promoted.append(worker_id)

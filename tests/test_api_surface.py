@@ -130,6 +130,12 @@ def test_build_signature():
     assert actual == ("graph", "threshold", "view", "options")
 
 
+def test_save_signature():
+    # one writer: format v2 (format v1 is read, never written)
+    actual = tuple(inspect.signature(repro.SCTIndex.save).parameters)
+    assert actual == ("self", "path")
+
+
 # regexes, not tomllib, which only exists from Python 3.11 on;
 # CITATION.cff's ``cff-version`` is the schema version, not ours
 VERSION_DECLARATIONS = {

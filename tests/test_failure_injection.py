@@ -6,13 +6,14 @@ from repro.core import SCTIndex
 from repro.errors import GraphError, IndexBuildError, ReproError
 from repro.graph import Graph, gnp_graph, read_edge_list
 
+from .index_files import v1_file
+
 
 @pytest.fixture
 def saved_index(tmp_path):
     # the v1 text format: line-level corruptions below edit it as text
-    g = gnp_graph(12, 0.5, seed=1)
     path = tmp_path / "ok.sct"
-    SCTIndex.build(g).save(path, format=1)
+    path.write_bytes(v1_file("gnp-12-s1").read_bytes())
     return path
 
 

@@ -4,17 +4,20 @@
 workers; this file crosses the process boundary.  A
 :class:`~repro.service.FleetManager` spawns genuine
 ``python -m repro serve --role worker`` children, an in-process router
-routes to them over real sockets, and the CLI-level test drives
+routes to them over real sockets — also under load from several client
+threads while a worker is SIGKILLed — and the CLI-level test drives
 ``serve --role router --fleet N`` end to end including the
 SIGTERM-drains-everything contract.
 """
 
 import json
 import os
+import queue
 import signal
 import subprocess
 import sys
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -26,6 +29,7 @@ from repro.service import (
     ServiceClient,
     make_router,
 )
+from repro.service.hashring import key_string, request_key
 
 DATASET = "email"
 
@@ -80,6 +84,114 @@ class TestFleetManager:
         assert len(workers) == 2
         manager.terminate()
         assert all(not manager.alive(w) for w in workers)
+
+
+def _drive(endpoint, requests, threads, on_done=None, timeout_s=120.0):
+    """Send ``requests`` from ``threads`` client threads, each taking the
+    next one when its last returns.  Returns the ``(request, envelope or
+    exception)`` pair of every request that completed within
+    ``timeout_s``; ``on_done(count)`` runs after each completion."""
+    todo = queue.Queue()
+    for obj in requests:
+        todo.put(obj)
+    outcomes = []
+    lock = threading.Lock()
+
+    def client_loop():
+        with ServiceClient(endpoint, max_retries=3, timeout_s=60) as client:
+            while True:
+                try:
+                    obj = todo.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    out = client.query(**obj)
+                except Exception as exc:  # noqa: BLE001 - kept, not lost
+                    out = exc
+                with lock:
+                    outcomes.append((obj, out))
+                    count = len(outcomes)
+                if on_done is not None:
+                    on_done(count)
+
+    pool = [
+        threading.Thread(target=client_loop, daemon=True)
+        for _ in range(threads)
+    ]
+    for thread in pool:
+        thread.start()
+    deadline = time.monotonic() + timeout_s
+    for thread in pool:
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+    with lock:
+        return list(outcomes)
+
+
+def _assert_all_answered(requests, outcomes):
+    assert len(outcomes) == len(requests), "hung requests"
+    for obj, out in outcomes:
+        assert not isinstance(out, Exception), (obj, out)
+        assert validate_result(out) == [], obj
+        assert out.ok, (obj, out.code, out.error)
+
+
+class TestFleetUnderLoad:
+    """Router + 2 worker processes, 4 client threads, a SIGKILL mid-run."""
+
+    THREADS = 4
+    KILL_AFTER = 4  # completed requests before the kill
+
+    def test_sigkill_mid_load_loses_no_request(self):
+        # mixed cold and warm: 4 index keys (distinct build_options),
+        # each asked 4 times, interleaved
+        mixed = [
+            {"dataset": DATASET, "k": 4, "build_options": {"arm": i % 4}}
+            for i in range(16)
+        ]
+        manager = FleetManager(2)
+        try:
+            workers = manager.start()
+            server, router = make_router(
+                RouterConfig(port=0), workers, manager=manager
+            )
+            threading.Thread(
+                target=server.serve_forever, daemon=True
+            ).start()
+            closer = threading.Thread(target=server.server_close)
+            try:
+                endpoint = f"http://127.0.0.1:{server.server_address[1]}"
+                # the victim owns the first key: both rounds route to it
+                victim = router.ring.owner(key_string(request_key(mixed[0])))
+                killed = []
+
+                def kill_mid_run(count):
+                    if count == self.KILL_AFTER:
+                        killed.append(manager.kill(victim))
+
+                first = _drive(endpoint, mixed, self.THREADS, kill_mid_run)
+                assert killed == [True]
+                _assert_all_answered(mixed, first)
+                # a second round after the kill: every key the victim
+                # owned fails over to the survivor, and none is lost
+                second = _drive(endpoint, mixed, self.THREADS)
+                _assert_all_answered(mixed, second)
+                assert victim not in router.ring
+                assert {out.served_by for _, out in second} == (
+                    set(workers) - {victim}
+                )
+                stats = router.handle_request({"op": "stats"})
+                assert validate_result(stats) == []
+                router.drain()
+            finally:
+                # the fleet drains: the router first, then every worker
+                server.shutdown()
+                closer.start()
+                closer.join(timeout=10)
+            assert not closer.is_alive(), "server_close() did not return"
+            manager.terminate()
+            assert not any(manager.alive(w) for w in workers)
+        finally:
+            manager.terminate()
 
 
 class TestFleetCLI:

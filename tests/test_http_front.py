@@ -14,6 +14,7 @@ well-behaved client library cannot produce it.
 import http.client
 import json
 import socket
+import sys
 import threading
 
 import pytest
@@ -284,3 +285,104 @@ def test_short_body_is_400_and_releases_the_drain(front, monkeypatch, capfd):
         sock.close()
     err = capfd.readouterr().err
     assert "Traceback" not in err and "BrokenPipe" not in err, err
+
+
+def test_idle_keep_alive_client_does_not_hold_the_drain(front):
+    """Clients that got their answers and keep their connections open,
+    idle, hold neither their handler threads nor ``server_close()``."""
+    conns = [
+        http.client.HTTPConnection("127.0.0.1", front.port, timeout=10)
+        for _ in range(8)
+    ]
+    statuses = []
+
+    def ask(conn):
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        response.read()  # HTTP/1.1: the connection stays open
+        statuses.append(response.status)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the handlers' idle marks
+    try:
+        askers = [
+            threading.Thread(target=ask, args=(conn,), daemon=True)
+            for conn in conns
+        ]
+        for asker in askers:
+            asker.start()
+        for asker in askers:
+            asker.join(timeout=10)
+            assert not asker.is_alive()
+        assert statuses == [200] * len(conns)
+        front.service.drain()
+        closer = threading.Thread(target=front.close, daemon=True)
+        closer.start()
+        closer.join(timeout=2)
+        assert not closer.is_alive(), "server_close() waits on an idle client"
+    finally:
+        sys.setswitchinterval(interval)
+        for conn in conns:
+            conn.close()
+
+
+def test_close_finishes_the_response_in_flight(front, monkeypatch):
+    """``server_close()`` ends idle connections only: a request already
+    being answered gets its whole response first."""
+    entered, release = threading.Event(), threading.Event()
+    handle_request = front.service.handle_request
+
+    def held(obj):
+        entered.set()
+        release.wait(10)
+        return handle_request(obj)
+
+    monkeypatch.setattr(front.service, "handle_request", held)
+    conn = http.client.HTTPConnection("127.0.0.1", front.port, timeout=10)
+    answer = {}
+
+    def ask():
+        conn.request("POST", "/v1/stats", body=b"{}")
+        response = conn.getresponse()
+        answer["status"], answer["body"] = response.status, response.read()
+
+    asker = threading.Thread(target=ask, daemon=True)
+    closer = threading.Thread(target=front.close, daemon=True)
+    try:
+        asker.start()
+        assert entered.wait(10)
+        closer.start()
+        closer.join(timeout=0.5)
+        assert closer.is_alive(), "server_close() cut the request short"
+        release.set()
+        asker.join(timeout=10)
+        closer.join(timeout=10)
+        assert not asker.is_alive() and not closer.is_alive()
+    finally:
+        release.set()
+        conn.close()
+    assert answer["status"] == 200
+    (env,) = [json.loads(line) for line in answer["body"].splitlines()]
+    assert env["op"] == "stats" and env["code"] == 0
+
+
+def test_exchange_reports_a_cut_short_response_as_a_connection_error():
+    """A peer that dies mid-body is a connection failure to the caller —
+    the router fails over, the client retries — not an internal error."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer_in_part():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{}")
+
+    server = threading.Thread(target=answer_in_part, daemon=True)
+    server.start()
+    url = f"http://127.0.0.1:{listener.getsockname()[1]}/v1/stats"
+    try:
+        with pytest.raises(ConnectionError, match="cut short"):
+            front_http.exchange(url, None, 10)
+    finally:
+        server.join(timeout=10)
+        listener.close()

@@ -1,12 +1,13 @@
 """Cross-representation parity: every index backing answers identically.
 
 The flat-array rewrite gives an :class:`SCTIndex` four lives — built in
-memory, round-tripped through the legacy v1 text format, mmap-loaded from
-the binary v2 format, and reconstructed zero-copy from a shared-memory
-broadcast inside a worker.  These tests pin the contract that none of
-those is observable through the query API: counts, paths, traversal sizes
-and SCTL* densest-subgraph results agree exactly, across random graphs
-and the deep planted-clique instance that exceeds the recursion limit.
+memory, read from a legacy v1 text file (the checked-in ones of
+``tests/index_files.py``), mmap-loaded from the binary v2 format, and
+reconstructed zero-copy from a shared-memory broadcast inside a worker.
+These tests pin the contract that none of those is observable through
+the query API: counts, paths, traversal sizes and SCTL* densest-subgraph
+results agree exactly, across random graphs and the deep planted-clique
+instance that exceeds the recursion limit.
 """
 
 import sys
@@ -16,8 +17,10 @@ import pytest
 
 from repro import densest_subgraph
 from repro.core import SCTIndex
-from repro.graph import gnp_graph, planted_clique_graph, relaxed_caveman_graph
+from repro.graph import planted_clique_graph
 from repro.parallel.engine import _attach_index, _release_shm, _share_index
+
+from .index_files import V1_GRAPHS, v1_file
 
 K_RANGE = (3, 4, 5)
 
@@ -29,12 +32,10 @@ def _close_quietly(handle):
         pass
 
 
-def _make_variants(index, tmp_path):
+def _make_variants(index, v1_path, tmp_path):
     """All four backings of ``index``, plus the handles to tear down."""
-    v1_path = tmp_path / "index-v1.sct"
-    index.save(v1_path, format=1)
     v2_path = tmp_path / "index-v2.sct2"
-    index.save(v2_path, format=2)
+    index.save(v2_path)
     shm, meta = _share_index(index)
     attached, attached_shm = _attach_index(meta)
     variants = {
@@ -47,30 +48,34 @@ def _make_variants(index, tmp_path):
     return variants, handles, shm
 
 
+# the cases, each with a checked-in v1 file named "parity-<case>"
+CASES = sorted(
+    name[len("parity-"):] for name in V1_GRAPHS if name.startswith("parity-")
+)
+
+
+@pytest.fixture(scope="module", params=CASES)
+def case(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def graph(case):
+    factory, _ = V1_GRAPHS[f"parity-{case}"]
+    return factory()
+
+
 @pytest.fixture()
-def variants(graph, tmp_path):
-    built, handles, owner_shm = _make_variants(SCTIndex.build(graph), tmp_path)
+def variants(case, graph, tmp_path):
+    built, handles, owner_shm = _make_variants(
+        SCTIndex.build(graph), v1_file(f"parity-{case}"), tmp_path
+    )
     yield built
     for index in built.values():
         index.close()
     for handle in handles:
         _close_quietly(handle)
     _release_shm(owner_shm)
-
-
-def _graphs():
-    cases = {
-        "caveman": relaxed_caveman_graph(7, 6, 0.12, seed=3),
-        "planted": planted_clique_graph(60, 9, 0.08, seed=5),
-    }
-    for seed in range(4):
-        cases[f"gnp-{seed}"] = gnp_graph(34, 0.3, seed=seed)
-    return cases
-
-
-@pytest.fixture(scope="module", params=sorted(_graphs()))
-def graph(request):
-    return _graphs()[request.param]
 
 
 class TestQueryParity:

@@ -28,13 +28,9 @@ from repro.parallel.engine import (
 )
 from repro.resilience import Checkpointer, RunBudget
 
+from .index_files import v2_bytes
+
 WORKER_COUNTS = (1, 2, 4)
-
-
-def _serialized(index):
-    buf = io.StringIO()
-    index._write(buf)
-    return buf.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +71,7 @@ class TestParallelBuild:
             parallel = SCTIndex.build(
                 graph, options=RunOptions(parallel=workers)
             )
-            assert _serialized(serial) == _serialized(parallel)
+            assert v2_bytes(serial) == v2_bytes(parallel)
 
     def test_build_with_threshold_byte_identical(self, graphs):
         graph = graphs["caveman"]
@@ -83,25 +79,25 @@ class TestParallelBuild:
         parallel = SCTIndex.build(
             graph, threshold=4, options=RunOptions(parallel=3)
         )
-        assert _serialized(serial) == _serialized(parallel)
+        assert v2_bytes(serial) == v2_bytes(parallel)
 
     def test_more_workers_than_roots(self):
         graph = Graph.complete(4)
         serial = SCTIndex.build(graph)
         parallel = SCTIndex.build(graph, options=RunOptions(parallel=4))
-        assert _serialized(serial) == _serialized(parallel)
+        assert v2_bytes(serial) == v2_bytes(parallel)
 
     def test_empty_graph(self):
         graph = Graph(3, [])
         sharded = SCTIndex.build(graph, options=RunOptions(parallel=2))
-        assert _serialized(sharded) == _serialized(SCTIndex.build(graph))
+        assert v2_bytes(sharded) == v2_bytes(SCTIndex.build(graph))
 
     def test_build_accepts_config(self, graphs):
         cfg = ParallelConfig(workers=2, chunks_per_worker=2,
                              max_tasks_per_child=4)
         graph = graphs["gnp"]
         sharded = SCTIndex.build(graph, options=RunOptions(parallel=cfg))
-        assert _serialized(sharded) == _serialized(SCTIndex.build(graph))
+        assert v2_bytes(sharded) == v2_bytes(SCTIndex.build(graph))
 
 
 class TestParallelSweeps:
@@ -277,7 +273,7 @@ class TestCheckpointInterop:
                 checkpoint=str(ckpt_dir), resume=True, parallel=2
             ),
         )
-        assert _serialized(resumed) == _serialized(clean)
+        assert v2_bytes(resumed) == v2_bytes(clean)
 
     def test_parallel_checkpoint_resumed_by_serial_build(self, tmp_path):
         graph = relaxed_caveman_graph(8, 6, 0.1, seed=7)
@@ -295,7 +291,7 @@ class TestCheckpointInterop:
         resumed = SCTIndex.build(
             graph, options=RunOptions(checkpoint=str(ckpt_dir), resume=True)
         )
-        assert _serialized(resumed) == _serialized(clean)
+        assert v2_bytes(resumed) == v2_bytes(clean)
 
 
 class TestObservabilityComposition:
@@ -374,7 +370,7 @@ class TestSharedMemoryBroadcast:
         attached, attached_shm = _attach_index(meta)
         try:
             assert attached.backing == "shared_memory"
-            assert _serialized(attached) == _serialized(index)
+            assert v2_bytes(attached) == v2_bytes(index)
         finally:
             attached.close()
             try:

@@ -168,24 +168,3 @@ class TestCrashSafeIndexSave:
         reloaded = SCTIndex.load(target)
         assert reloaded.n_vertices == index.n_vertices
         assert reloaded.count_k_cliques(3) == index.count_k_cliques(3)
-
-    def test_mid_save_fault_preserves_old_index_v1(self, tmp_path, monkeypatch):
-        graph = relaxed_caveman_graph(5, 5, 0.1, seed=2)
-        index = SCTIndex.build(graph)
-        target = tmp_path / "graph.sct"
-        index.save(target, format=1)
-        before = target.read_bytes()
-
-        def exploding_write(self, handle):
-            handle.write("garbage that must never land in the target\n")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(SCTIndex, "_write", exploding_write)
-        with pytest.raises(OSError):
-            index.save(target, format=1)
-        monkeypatch.undo()
-
-        assert target.read_bytes() == before
-        assert os.listdir(tmp_path) == ["graph.sct"]
-        reloaded = SCTIndex.load(target)
-        assert reloaded.count_k_cliques(3) == index.count_k_cliques(3)

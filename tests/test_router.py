@@ -5,7 +5,7 @@ processes *in-process* (threaded HTTP servers on loopback port 0) and a
 real :class:`~repro.service.RouterService` in front, so every forward
 crosses a genuine socket — but everything stays in one pytest process
 with no subprocess machinery (that end of the story lives in
-``tests/test_fleet.py`` and the CI fleet-smoke job).
+``tests/test_fleet.py``).
 """
 
 import json
@@ -14,6 +14,8 @@ import threading
 import pytest
 
 from repro.obs.validate import validate_result
+from repro.resilience.overload import CircuitBreaker
+from repro.service import router as router_mod
 from repro.service import (
     RouterConfig,
     ServiceClient,
@@ -282,6 +284,47 @@ class TestFleetUpdates:
         assert out.ok
         assert out.served_by == replicas[0]
         assert out.graph_version == 1  # replayed history survived
+
+
+class TestUpdateLogCap:
+    def test_heir_past_the_cap_is_refused_not_served_stale(
+        self, fleet, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(router_mod, "_UPDATE_LOG_CAP", 2)
+        path = two_clique_graph_file(tmp_path)
+        client = ServiceClient(fleet.endpoint, max_retries=3)
+        obj = {"path": path, "k": 5}
+        assert client.query(**obj).ok
+        batches = ({"deletes": [[6, 7]]}, {"inserts": [[6, 7]]},
+                   {"deletes": [[7, 8]]})
+        for version, batch in enumerate(batches, 1):
+            up = client.update(path=path, **batch)
+            assert up.applied and up.graph_version == version
+        graph = graph_string(key_string(request_key(obj)))
+        assert len(fleet.router._update_log[graph]) == 2  # one past the cap
+
+        owner = owner_of(fleet, obj)
+        fleet.kill_worker(owner)
+        # a fresh read: the heir can replay versions 1-2 but not 3
+        out = client.query(path=path, k=4)
+        assert out.code == 1 and not out.ok, (out.code, out.graph_version)
+        assert "applied 2 of the 3 committed update batches" in out.error
+        assert validate_result(out) == []
+        heir = owner_of(fleet, obj)
+        assert heir != owner
+        # updates to the graph are refused on the heir too
+        up = client.update(path=path, inserts=[[7, 8]])
+        assert up.code == 1 and not up.applied
+        assert validate_result(up) == []
+
+        # being behind is not a failure: the heir keeps its place in the
+        # ring and its breaker stays closed
+        assert heir in fleet.router.ring
+        assert fleet.router._workers[heir].breaker.state == CircuitBreaker.CLOSED
+        stats = fleet.router.stats_snapshot()
+        assert stats["counters"]["router/update_log/refused"] == 2
+        assert stats["counters"]["router/update_log/overflow"] == 1
+        assert stats["counters"]["events/update_log_refused"] == 2
 
 
 class TestHotKeyDemotion:
