@@ -10,7 +10,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="3.0.0",
+    version="4.0.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     entry_points={"console_scripts": ["repro-kcds = repro.cli:main"]},

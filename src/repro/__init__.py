@@ -41,7 +41,6 @@ from .core import (
     DirtyRegion,
     SCTIndex,
     SCTPath,
-    SCTPathView,
     density_profile,
     sctl,
     sctl_plus,
@@ -85,14 +84,13 @@ from .resilience import (
     RunBudget,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Graph",
     "Hypergraph",
     "SCTIndex",
     "SCTPath",
-    "SCTPathView",
     "DirtyRegion",
     "DenseSubgraphResult",
     "RESULT_SCHEMA",

@@ -12,7 +12,7 @@ from .reductions import (
 from .multi import top_dense_subgraphs
 from .profile import DensityProfile, density_profile
 from .sampling import sample_k_cliques, sctl_star_sample
-from .sct import HOLD, PIVOT, SCTIndex, SCTPath, SCTPathView
+from .sct import HOLD, PIVOT, SCTIndex, SCTPath
 from .update import DirtyRegion, apply_edge_updates, compute_update
 from .validation import VerificationReport, verify_result
 from .sctl import empty_result, sctl
@@ -21,7 +21,6 @@ from .sctl_star import IterationStats, sctl_plus, sctl_star
 __all__ = [
     "SCTIndex",
     "SCTPath",
-    "SCTPathView",
     "HOLD",
     "PIVOT",
     "DirtyRegion",

@@ -36,8 +36,9 @@ from .sct import (
     SCTIndex,
     SCTPath,
     SCTPathTable,
-    count_in_subset,
     query_paths,
+    scope_flags,
+    scope_rows,
 )
 from .sctl import empty_result
 
@@ -372,7 +373,10 @@ def _sctl_star_sample_run(
                     stage="sample/refine",
                 )
             return empty_result(k, "SCTL*-Sample")
-        true_count = count_in_subset(source, k, chosen)
+        tallies = [0] * 5
+        for _ in scope_rows(source, k, tallies, scope_flags(n, chosen)):
+            pass
+        true_count = tallies[4]
         if recorder.enabled and chosen:
             recorder.gauge(
                 "sample/recovered_density", true_count / len(chosen)

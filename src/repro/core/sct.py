@@ -51,7 +51,7 @@ from ..resilience.budget import NULL_BUDGET, Budget
 from ..resilience.checkpoint import Checkpointer, atomic_writer, require_match
 from . import sct_format
 
-__all__ = ["SCTPath", "SCTPathView", "SCTIndex", "HOLD", "PIVOT"]
+__all__ = ["SCTPath", "SCTIndex", "HOLD", "PIVOT"]
 
 # during a budgeted build, poll the budget every this many new tree nodes
 # (roots are always polled; this bounds the latency inside one huge subtree)
@@ -1084,30 +1084,6 @@ class SCTIndex:
         """Materialise :meth:`iter_paths` into a list."""
         return list(self.iter_paths(k, enforce_support=enforce_support))
 
-    def path_view(
-        self,
-        k: Optional[int] = None,
-        enforce_support: bool = True,
-        options: Optional[RunOptions] = None,
-    ) -> "SCTPathView":
-        """A re-iterable, zero-materialisation view over the valid paths.
-
-        Every ``iter()`` walks the tree afresh via :meth:`iter_paths`, so
-        memory stays bounded by tree depth instead of path-list size.  The
-        SCTL family does not need it: each query keeps its paths in one
-        flat table, or streams them when the table would outgrow the
-        index (:class:`SCTPathTable`).
-
-        ``options`` is handed to every ``iter()`` unchanged (see
-        :meth:`iter_paths` for the knobs that apply).  With a parallel
-        config, each ``iter()`` runs through a short-lived process pool;
-        the path order is unchanged.
-        """
-        opts = RunOptions.resolve(options)
-        if k is not None and enforce_support:
-            self._require_k(k)
-        return SCTPathView(self, k, enforce_support, opts)
-
     def traversal_node_count(self, k: Optional[int] = None) -> int:
         """Number of tree nodes visited when listing k-cliques.
 
@@ -1175,7 +1151,8 @@ class SCTIndex:
 
         This is the recovery step of SCTL*-Sample (§6.1): restrict each
         path to the allowed vertices — all holds must survive, pivots are
-        filtered — and re-apply Lemma 2.  No clique enumeration happens.
+        filtered — and re-apply Lemma 2 (:func:`scope_rows`' clique
+        tally).  No clique enumeration happens.
 
         With ``enforce_support=False`` on a partial index and ``k`` below
         its threshold, the returned value is a *lower bound* (pruned
@@ -1183,7 +1160,11 @@ class SCTIndex:
         """
         if enforce_support:
             self._require_k(k)
-        return count_in_subset(QueryPaths(self, k), k, allowed)
+        in_scope = scope_flags(self._n_vertices, allowed)
+        tallies = [0] * 5
+        for _ in scope_rows(self._iter_leaf_buffers(k), k, tallies, in_scope):
+            pass
+        return tallies[4]
 
     def per_vertex_counts_in_subset(
         self, k: int, allowed: Iterable[int]
@@ -1192,10 +1173,7 @@ class SCTIndex:
         self._require_k(k)
         n = self._n_vertices
         allowed_set: Set[int] = set(allowed)
-        in_scope = [False] * n
-        for v in allowed_set:
-            if 0 <= v < n:
-                in_scope[v] = True
+        in_scope = scope_flags(n, allowed_set)
         counts = [0] * n
         add_engagement(self._iter_leaf_buffers(k), k, counts, in_scope)
         return {v: counts[v] if 0 <= v < n else 0 for v in allowed_set}
@@ -1357,41 +1335,6 @@ class SCTIndex:
             f"tree_nodes={self.n_tree_nodes}, threshold={self._threshold}, "
             f"max_clique={self.max_clique_size})"
         )
-
-
-class SCTPathView:
-    """Re-iterable streaming view of an index's valid root-to-leaf paths.
-
-    Obtained from :meth:`SCTIndex.path_view`.  Each ``iter()`` re-traverses
-    the tree with the same pruning, yielding :class:`SCTPath` objects in a
-    deterministic order, so sweeping the view twice sees the identical
-    sequence a :meth:`SCTIndex.collect_paths` list would hold — without
-    ever materialising it.
-    """
-
-    __slots__ = ("_index", "_k", "_enforce_support", "_options")
-
-    def __init__(
-        self,
-        index: SCTIndex,
-        k: Optional[int],
-        enforce_support: bool = True,
-        options: Optional[RunOptions] = None,
-    ):
-        self._index = index
-        self._k = k
-        self._enforce_support = enforce_support
-        self._options = options
-
-    def __iter__(self) -> Iterator[SCTPath]:
-        return self._index.iter_paths(
-            self._k,
-            enforce_support=self._enforce_support,
-            options=self._options,
-        )
-
-    def __repr__(self) -> str:
-        return f"SCTPathView(k={self._k}, index={self._index!r})"
 
 
 class SCTPathTable:
@@ -1607,6 +1550,16 @@ def path_rows(paths) -> Iterator[Tuple[Sequence[int], Sequence[int]]]:
     return chain.from_iterable(_packed((p.holds, p.pivots) for p in paths))
 
 
+def scope_flags(n: int, vertices: Iterable[int]) -> List[bool]:
+    """One flag per vertex of ``range(n)``, set for those in ``vertices``;
+    ids outside ``[0, n)`` are dropped."""
+    flags = [False] * n
+    for v in vertices:
+        if 0 <= v < n:
+            flags[v] = True
+    return flags
+
+
 def scope_rows(
     rows: Iterable[Tuple[Sequence[int], Sequence[int]]],
     k: int,
@@ -1671,18 +1624,3 @@ def add_engagement(
     pivots inside it (:func:`scope_rows`)."""
     for _ in scope_rows(rows, k, [0] * 5, in_scope, counts=counts):
         pass
-
-
-def count_in_subset(paths, k: int, allowed: Iterable[int]) -> int:
-    """k-cliques of ``paths`` inside ``allowed`` (see
-    :meth:`SCTIndex.count_in_subset`); ``paths`` as for :func:`path_rows`."""
-    allowed_set: Set[int] = set(allowed)
-    total = 0
-    for holds, pivots in path_rows(paths):
-        if any(h not in allowed_set for h in holds):
-            continue
-        p_in = sum(1 for v in pivots if v in allowed_set)
-        need = k - len(holds)
-        if 0 <= need <= p_in:
-            total += comb(p_in, need)
-    return total

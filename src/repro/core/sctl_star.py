@@ -59,7 +59,6 @@ from .sct import (
     SCTIndex,
     SCTPath,
     add_engagement,
-    count_in_subset,
     query_paths,
     scope_rows,
 )
@@ -650,22 +649,24 @@ def _scope_snapshot(
     best_density: Fraction,
 ) -> IterationStats:
     """Measure the search scope entering this iteration (Table 4 columns)."""
-    if not use_reductions:
-        scope = list(range(n))
+    if use_reductions:
+        flags = [a and b for a, b in zip(in_scope, live)]
     else:
-        scope = [v for v in range(n) if in_scope[v] and live[v]]
+        flags = [True] * n
+    scope = [v for v in range(n) if flags[v]]
     scope_edges = None
     if graph is not None:
-        inside = set(scope)
         scope_edges = sum(
-            1 for u in scope for w in graph.neighbors(u) if u < w and w in inside
+            1 for u in scope for w in graph.neighbors(u) if u < w and flags[w]
         )
-    scope_cliques = count_in_subset(source, k, scope)
+    tallies = [0] * 5
+    for _ in scope_rows(source, k, tallies, flags):
+        pass
     return IterationStats(
         iteration=iteration,
         scope_vertices=len(scope),
         scope_edges=scope_edges,
-        scope_cliques=scope_cliques,
+        scope_cliques=tallies[4],
         cliques_processed=0,
         weight_updates=0,
         rho=float(best_density),

@@ -2,7 +2,6 @@
 
 from .densest import (
     count_cliques_inside,
-    exact_densest_binary_search,
     exact_densest_from_cliques,
     find_denser_subgraph,
 )
@@ -12,6 +11,5 @@ __all__ = [
     "MaxFlow",
     "find_denser_subgraph",
     "exact_densest_from_cliques",
-    "exact_densest_binary_search",
     "count_cliques_inside",
 ]

@@ -30,7 +30,6 @@ from .maxflow import MaxFlow
 __all__ = [
     "find_denser_subgraph",
     "exact_densest_from_cliques",
-    "exact_densest_binary_search",
     "count_cliques_inside",
 ]
 
@@ -92,57 +91,6 @@ def find_denser_subgraph(
         side = set(network.min_cut_source_side(source))
     result = [v for v in verts if vertex_node[v] in side]
     return result or None
-
-
-def exact_densest_binary_search(
-    cliques: Sequence[Tuple[int, ...]],
-    vertices: Sequence[int],
-    lower: Optional[Fraction] = None,
-) -> Tuple[List[int], Fraction]:
-    """Exact densest subgraph by the classic binary-search framework.
-
-    The CoreExact/Goldberg approach the paper reviews in §3.1: maintain
-    bounds ``l <= rho_opt <= u`` and bisect, asking the min-cut oracle
-    whether a subgraph denser than the midpoint exists, until the interval
-    is narrower than the minimum gap between two distinct subgraph
-    densities (``1 / (|V| * (|V| - 1))``) — at which point the last
-    denser-side witness is optimal.
-
-    Kept alongside :func:`exact_densest_from_cliques` (iterated cut
-    extraction) as an independent implementation of the same result; the
-    tests require the two to agree bit for bit.
-
-    Parameters
-    ----------
-    cliques:
-        Every k-clique of the graph under consideration.
-    vertices:
-        The vertex universe.
-    lower:
-        Optional known achieved density to start the lower bound from.
-    """
-    verts = list(vertices)
-    if not cliques or not verts:
-        return [], Fraction(0)
-    n = len(verts)
-    witness = sorted(verts)
-    low = Fraction(len(cliques), n)  # whole-graph density is achieved
-    if lower is not None and lower > low:
-        low = lower
-    high = Fraction(len(cliques))  # no subgraph beats one vertex per clique
-    # distinct subgraph densities a/b, b <= n differ by >= 1/(n(n-1))
-    gap = Fraction(1, n * max(n - 1, 1))
-    while high - low >= gap:
-        mid = (low + high) / 2
-        denser = find_denser_subgraph(cliques, verts, mid)
-        if denser is None:
-            high = mid
-        else:
-            witness = sorted(denser)
-            low = Fraction(count_cliques_inside(cliques, witness), len(witness))
-    # `low` is achieved by `witness`; nothing exceeds `high` < low + gap,
-    # and densities are gap-separated, so witness is optimal
-    return witness, low
 
 
 def exact_densest_from_cliques(

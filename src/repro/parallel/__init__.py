@@ -6,7 +6,8 @@ each seed vertex's subtree occupies one contiguous id range.  Both facts
 together make the whole pipeline shardable with a *deterministic* merge:
 
 * :class:`ParallelConfig` — the value behind the ``parallel=`` knob of
-  :class:`~repro.options.RunOptions` (worker count, chunking, recycling);
+  :class:`~repro.options.RunOptions` (worker count, chunking, start
+  method, crash retries);
 * :class:`PathShardEngine` — a pool over contiguous root-range chunks;
   results stream back in chunk order, so any consumer that folds them
   sequentially reproduces the serial result byte for byte;

@@ -206,7 +206,6 @@ def parallel_build(
                 # a worker needs the out-lists, the order and the core
                 # numbers; the graph's adjacency sets stay in this process
                 initargs=(replace(view, graph=None), threshold),
-                maxtasksperchild=config.max_tasks_per_child,
             )
             try:
                 results = pool.imap(_build_chunk, tasks)

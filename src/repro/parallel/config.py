@@ -39,10 +39,6 @@ class ParallelConfig:
         More chunks balance skewed subtrees better; fewer chunks lower
         dispatch overhead.  Chunks are contiguous root ranges, so the
         ordered merge of chunk results always reproduces serial order.
-    max_tasks_per_child:
-        Recycle a worker process after this many tasks (``None`` keeps
-        workers for the pool's lifetime).  Recycling bounds the memory a
-        long sweep can pin in any single worker.
     start_method:
         ``multiprocessing`` start method (``"fork"``, ``"spawn"``,
         ``"forkserver"``).  ``None`` picks ``fork`` when the platform
@@ -66,7 +62,6 @@ class ParallelConfig:
 
     workers: int = 1
     chunks_per_worker: int = 4
-    max_tasks_per_child: Optional[int] = None
     start_method: Optional[str] = None
     max_crash_retries: int = 2
 
@@ -87,15 +82,6 @@ class ParallelConfig:
             raise InvalidParameterError(
                 f"chunks_per_worker must be an int >= 1, "
                 f"got {self.chunks_per_worker!r}"
-            )
-        if self.max_tasks_per_child is not None and (
-            not isinstance(self.max_tasks_per_child, int)
-            or isinstance(self.max_tasks_per_child, bool)
-            or self.max_tasks_per_child < 1
-        ):
-            raise InvalidParameterError(
-                f"max_tasks_per_child must be None or an int >= 1, "
-                f"got {self.max_tasks_per_child!r}"
             )
         if (
             not isinstance(self.max_crash_retries, int)

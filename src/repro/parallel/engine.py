@@ -34,11 +34,11 @@ from __future__ import annotations
 import atexit
 import os
 import signal
-import time
 import weakref
 from collections import defaultdict
 from multiprocessing import TimeoutError as _PoolTimeout
 from multiprocessing import resource_tracker, shared_memory
+from multiprocessing.pool import TERMINATE as _POOL_TERMINATE
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import WorkerCrashError
@@ -56,11 +56,8 @@ _WORKER_STATE: Dict[str, object] = {}
 
 # crash-detection cadence: poll the ordered imap at this interval so a
 # lost task (a SIGKILLed worker takes its chunk with it and Pool never
-# resubmits) cannot hang the sweep; with worker recycling enabled a pid
-# leaving the pool is routine, so only a pid change *plus* this long
-# with no results counts as a crash
+# resubmits) cannot hang the sweep
 _CRASH_POLL_S = 0.2
-_CRASH_GRACE_S = 5.0
 
 # chaos hook: when this env var names a marker file, a worker picking up
 # a task atomically claims the file and SIGKILLs itself (see
@@ -329,6 +326,10 @@ def _root_chunks(
     if min(sizes) < 1:
         if recorder.enabled:
             recorder.counter("parallel/chunking-fallback")
+            recorder.event(
+                "chunking_fallback", roots=len(roots),
+                bad_sizes=sum(1 for size in sizes if size < 1),
+            )
         sizes = [1] * len(roots)
     return _quantile_cuts(sizes, target)
 
@@ -413,7 +414,6 @@ class PathShardEngine:
                     bool(self._recorder.enabled),
                     getattr(self._recorder, "request_id", None),
                 ),
-                maxtasksperchild=self._config.max_tasks_per_child,
             )
             self._known_pids = self._worker_pids()
         return self._pool
@@ -425,17 +425,20 @@ class PathShardEngine:
         queue's reader lock, deadlocking every surviving and respawned
         worker — no task is ever picked up again, and no further pid
         vanishes for the in-sweep watcher to notice.  Rebuilding is the
-        only safe reuse.  With worker recycling pid turnover is routine,
-        so the check only applies when ``max_tasks_per_child`` is off
-        (the in-sweep grace-period detection still covers that mode).
+        only safe reuse.
         """
-        if self._pool is None or self._config.max_tasks_per_child is not None:
+        if self._pool is None:
             return
         if self._worker_pids() != self._known_pids:
             self._teardown_pool()
             if self._recorder.enabled:
                 self._recorder.counter("parallel/worker_crashes")
                 self._recorder.counter("parallel/pool_rebuilds")
+                self._recorder.event(
+                    "pool_rebuilt", chunks_done=0,
+                    chunks_left=len(self._chunks),
+                    retries_left=self._config.max_crash_retries,
+                )
 
     def _worker_pids(self) -> Set[int]:
         pool = self._pool
@@ -457,16 +460,12 @@ class PathShardEngine:
         # which a worker killed mid-``recv`` died holding (similarly, one
         # killed mid-result-write died holding the result queue's writer
         # lock, hanging the shutdown sentinel ``put``).  Make the
-        # teardown unambiguous instead: stop the maintenance thread from
-        # respawning, kill every worker outright, then force-release the
-        # two locks only (now dead) workers could hold —
-        # ``multiprocessing.Lock.release`` is documented to work from any
-        # process — so ``terminate()`` can finish.  Workers are stateless
-        # compute; SIGKILL loses nothing.
+        # teardown unambiguous instead: kill every worker outright, then
+        # force-release the two locks only (now dead) workers could hold
+        # — ``multiprocessing.Lock.release`` is documented to work from
+        # any process — so ``terminate()`` can finish.  Workers are
+        # stateless compute; SIGKILL loses nothing.
         try:
-            import multiprocessing.pool as _mp_pool
-
-            pool._state = getattr(_mp_pool, "TERMINATE", "TERMINATE")
             procs = list(pool._pool)
             for proc in procs:
                 if proc.pid is not None and proc.is_alive():
@@ -493,7 +492,29 @@ class PathShardEngine:
             pass
         try:
             pool.terminate()
-            pool.join()
+        except Exception:
+            # the drain helper unpickles what is left in the task pipe,
+            # and a worker killed mid-``recv`` leaves a torn task there
+            # (EOFError): terminate() then stops neither the result
+            # thread, blocked on the crashed sweep's pending results, nor
+            # the workers the pool respawned since the kill above.  It
+            # has told the maintenance thread to stop; once it has, end
+            # both.
+            try:
+                pool._worker_handler.join(timeout=2.0)
+                pool._result_handler._state = _POOL_TERMINATE
+                pool._outqueue.put(None)
+                for proc in list(pool._pool):
+                    proc.kill()
+            except Exception:
+                pass
+        try:
+            for thread in (
+                pool._worker_handler, pool._task_handler, pool._result_handler,
+            ):
+                thread.join(timeout=2.0)
+            for proc in list(pool._pool):
+                proc.join(timeout=2.0)
         except Exception:
             pass
 
@@ -503,15 +524,10 @@ class PathShardEngine:
         A killed worker loses its task silently — Pool never resubmits
         it — so a plain ``next()`` would block forever on the gap in the
         ordered results.  Poll with a timeout instead and treat a worker
-        pid leaving the pool (or a broken result pipe) as a crash.  With
-        worker recycling (``max_tasks_per_child``) pid turnover is
-        routine, so there a crash additionally requires
-        ``_CRASH_GRACE_S`` with no progress.
+        pid leaving the pool (or a broken result pipe) as a crash.
         """
         it = pool.imap(_run_sweep_task, tasks)
         known = self._worker_pids()
-        recycling = self._config.max_tasks_per_child is not None
-        last_progress = time.monotonic()
         while True:
             try:
                 item = it.next(timeout=_CRASH_POLL_S)
@@ -520,10 +536,7 @@ class PathShardEngine:
             except _PoolTimeout:
                 current = self._worker_pids()
                 vanished = known - current
-                if vanished and (
-                    not recycling
-                    or time.monotonic() - last_progress > _CRASH_GRACE_S
-                ):
+                if vanished:
                     raise WorkerCrashError(
                         f"pool worker(s) {sorted(vanished)} died mid-sweep"
                     )
@@ -533,7 +546,6 @@ class PathShardEngine:
                 raise WorkerCrashError(
                     f"pool transport failed mid-sweep: {exc!r}"
                 ) from exc
-            last_progress = time.monotonic()
             yield item
 
     def map(
@@ -579,12 +591,21 @@ class PathShardEngine:
                     rebuilds_left -= 1
                     if self._recorder.enabled:
                         self._recorder.counter("parallel/pool_rebuilds")
+                        self._recorder.event(
+                            "pool_rebuilt", chunks_done=done,
+                            chunks_left=total - done,
+                            retries_left=rebuilds_left,
+                        )
                     continue
                 # out of retries: finish the sweep in-process.  Same ops,
                 # same chunk order, and the in-parent call path never
                 # runs the chaos kill hook, so this always completes.
                 if self._recorder.enabled:
                     self._recorder.counter("parallel/serial_fallback")
+                    self._recorder.event(
+                        "serial_fallback", chunks_done=done,
+                        chunks_left=total - done,
+                    )
                 for lo, hi in self._chunks[done:]:
                     yield _SWEEP_OPS[op](
                         self._index, lo, hi, k, enforce_support, payload

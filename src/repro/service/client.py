@@ -35,40 +35,31 @@ outcome exposes ``.ok`` / ``.code`` / ``.error`` / ``.request_id`` /
 ``.graph_version``.  :meth:`ServiceClient.rpc` is the raw escape hatch
 for ops (or fields) this client has no helper for.
 
-**Topology awareness** (``topology_aware=True``): against a fleet front
-(see ``docs/service.md``, "Fleet deployment") the client fetches
-``GET /v1/topology`` once, rebuilds the router's :class:`HashRing`
-locally from the member list (placement is a pure function of the member
-set, so both sides agree), and sends ``query``/``build``/``profile``
-straight to the owning worker — skipping the router hop on the hot path.
-Anything that goes wrong with a direct attempt (connection failure, a
-5xx, an overloaded worker) falls back through the router, which is
-always correct; a ``ring_epoch`` on a router response that differs from
-the cached epoch marks the topology stale and re-fetches it before the
-next routing decision.  ``update`` and ``stats`` always go through the
-router — update must fan out to replicas, and stats aggregation is the
-router's job.
+Every request goes to the one ``endpoint``; against a fleet that is
+the router, which converges a key's owner to the graph's committed
+``graph_version`` before it serves (see ``docs/service.md``, "Fleet
+deployment").  :meth:`ServiceClient.topology` reads the router's ring
+and worker table for inspection, and the ``served_by`` and
+``ring_epoch`` envelope fields say which worker answered under which
+placement generation.
 
 Stdlib-only (one exchange is :func:`repro.service.http.exchange`, over
 :mod:`urllib.request`); injectable ``sleep`` and ``rng`` keep the tests
 instant and deterministic.  The client holds no sockets between calls,
-but :meth:`ServiceClient.close` (also via ``with``) drops the cached
-topology and fails further calls fast, so a closed client cannot
-silently keep routing.
+and :meth:`ServiceClient.close` (also via ``with``) fails further calls
+fast.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import threading
 import time
 import urllib.error
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..errors import InvalidParameterError, ServiceUnavailable
+from ..errors import ServiceUnavailable
 from ..results import DenseSubgraphResult
-from .hashring import HashRing, key_string, request_key
 from .http import exchange, first_envelope
 
 __all__ = [
@@ -78,11 +69,6 @@ __all__ = [
     "ProfileOutcome",
     "UpdateOutcome",
 ]
-
-# ops a topology-aware client may send straight to the owning worker;
-# update is excluded (must fan out via the router) and stats is a
-# whole-fleet aggregate
-_ROUTABLE_OPS = ("query", "build", "profile")
 
 # statuses worth retrying: the request was fine, the server was not ready
 _RETRYABLE_STATUSES = (429, 503)
@@ -227,7 +213,6 @@ class ServiceClient:
         jitter: float = 0.1,
         sleep=time.sleep,
         rng: Optional[random.Random] = None,
-        topology_aware: bool = False,
     ):
         self.endpoint = endpoint.rstrip("/")
         self.timeout_s = timeout_s
@@ -235,24 +220,16 @@ class ServiceClient:
         self.backoff_base_s = backoff_base_s
         self.backoff_max_s = backoff_max_s
         self.jitter = jitter
-        self.topology_aware = topology_aware
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random()
         self._closed = False
-        # cached fleet topology: (ring, {worker_id: base_url}, router epoch)
-        self._topo_lock = threading.Lock()
-        self._topo: Optional[Tuple[HashRing, Dict[str, str], int]] = None
-        self._topo_stale = True
 
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Release the client: drop the cached topology and refuse
-        further calls.  Idempotent; also invoked by ``with``-exit."""
+        """Release the client: refuse further calls.  Idempotent; also
+        invoked by ``with``-exit."""
         self._closed = True
-        with self._topo_lock:
-            self._topo = None
-            self._topo_stale = True
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -264,20 +241,15 @@ class ServiceClient:
     # -- wire level -----------------------------------------------------
 
     def _once(
-        self, path: str, body: Optional[bytes],
-        base: Optional[str] = None,
+        self, path: str, body: Optional[bytes]
     ) -> Tuple[int, Optional[str], bytes]:
         """One :func:`~repro.service.http.exchange` with ``path`` of the
-        endpoint, or of ``base`` (topology-aware direct-to-worker calls).
-        """
+        endpoint."""
         if self._closed:
             raise ServiceUnavailable(
                 "client is closed", last_status=None, attempts=0
             )
-        return exchange(
-            (base if base is not None else self.endpoint) + path,
-            body, self.timeout_s,
-        )
+        return exchange(self.endpoint + path, body, self.timeout_s)
 
     def _backoff(self, attempt: int, retry_after: Optional[str]) -> float:
         """Seconds to sleep before retry number ``attempt`` (1-based)."""
@@ -356,19 +328,13 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         body = json.dumps(dict(obj, op=op)).encode("utf-8")
         path = f"/v1/{op}"
-        if self.topology_aware and op in _ROUTABLE_OPS:
-            env = self._try_direct(path, body, obj)
-            if env is not None:
-                return env
         status, payload = self._exchange(
             path, body,
             retry_connection_errors=retry_connection_errors,
         )
-        env = self._decode(status, payload, path)
-        self._note_epoch(env)
-        return env
+        return self._decode(status, payload, path)
 
-    # -- topology awareness ---------------------------------------------
+    # -- topology -------------------------------------------------------
 
     def topology(self) -> "ServiceOutcome":
         """``GET /v1/topology`` from the router: ring epoch, worker
@@ -381,81 +347,6 @@ class ServiceClient:
                 last_status=status, attempts=1,
             )
         return ServiceOutcome(self._decode(status, payload, "/v1/topology"))
-
-    def _note_epoch(self, env: Dict[str, Any]) -> None:
-        """Mark the cached topology stale when a router response proves
-        the ring moved under us."""
-        epoch = env.get("ring_epoch")
-        if not isinstance(epoch, int):
-            return
-        with self._topo_lock:
-            if self._topo is not None and self._topo[2] != epoch:
-                self._topo_stale = True
-
-    def _topology_snapshot(
-        self,
-    ) -> Optional[Tuple[HashRing, Dict[str, str], int]]:
-        """The cached ``(ring, worker table, epoch)``, re-fetched when
-        stale; None when the endpoint has no topology surface."""
-        with self._topo_lock:
-            if self._topo is not None and not self._topo_stale:
-                return self._topo
-        try:
-            topo = self.topology().get("topology") or {}
-        except (ServiceUnavailable, OSError, urllib.error.URLError,
-                json.JSONDecodeError):
-            with self._topo_lock:
-                self._topo = None
-                self._topo_stale = True
-            return None
-        workers = {
-            worker["id"]: worker["url"].rstrip("/")
-            for worker in topo.get("workers", ())
-            if isinstance(worker, dict) and worker.get("url")
-        }
-        if not workers:
-            return None
-        # placement is a pure function of (member set, vnodes): rebuild
-        # the router's ring locally instead of shipping vnode positions
-        ring = HashRing(
-            sorted(workers), vnodes=int(topo.get("vnodes", 0) or 64)
-        )
-        snapshot = (ring, workers, int(topo.get("epoch", 0)))
-        with self._topo_lock:
-            self._topo = snapshot
-            self._topo_stale = False
-        return snapshot
-
-    def _try_direct(
-        self, path: str, body: bytes, obj: Dict[str, Any]
-    ) -> Optional[Dict[str, Any]]:
-        """One direct-to-owner attempt; None means *fall back through
-        the router* (no topology, unroutable request, worker trouble)."""
-        topo = self._topology_snapshot()
-        if topo is None:
-            return None
-        ring, workers, _ = topo
-        try:
-            key = key_string(request_key(obj))
-        except (InvalidParameterError, TypeError, ValueError):
-            return None  # malformed request: let the server say why
-        owner = ring.owner(key)
-        base = workers.get(owner) if owner else None
-        if base is None:
-            return None
-        try:
-            status, _, payload = self._once(path, body, base=base)
-        except (OSError, urllib.error.URLError):
-            # the worker may be gone; the router knows the live ring
-            with self._topo_lock:
-                self._topo_stale = True
-            return None
-        if status in _RETRYABLE_STATUSES or status >= 500:
-            if status >= 500:
-                with self._topo_lock:
-                    self._topo_stale = True
-            return None
-        return self._decode(status, payload, path)
 
     # -- ops ------------------------------------------------------------
 

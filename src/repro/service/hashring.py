@@ -14,14 +14,12 @@ uses — ``(graph source, threshold, canonical build_options)`` — and the
   each worker is hashed onto the ring at ``vnodes`` pseudo-random
   positions and a key belongs to the first vnode clockwise from its own
   hash;
-* placement is a pure function of the member set — router, workers and
-  topology-aware clients all derive the *same* owner from the same
-  membership, so a client can route directly without asking the router.
+* placement is a pure function of the member set — the same membership
+  always gives the *same* owner, in any process.
 
 Every membership change bumps a monotonic ``epoch``; responses that
-crossed the router carry it as ``ring_epoch`` so clients can detect a
-stale topology and re-fetch (see ``docs/service.md``, "Fleet
-deployment").
+crossed the router carry it as ``ring_epoch``, the placement generation
+they were served under (see ``docs/service.md``, "Fleet deployment").
 
 Hashing is SHA-256 (first 8 bytes, big-endian) — stable across
 processes, platforms and Python versions, unlike ``hash()``.
@@ -58,8 +56,8 @@ def request_key(obj: Dict[str, Any]) -> Tuple[Tuple[str, str], int, str]:
 
     Exactly the triple :class:`~repro.service.ReproService` caches
     under — ``((kind, source), threshold, build_options fingerprint)`` —
-    computed from the request fields alone, so router and topology-aware
-    clients agree with the worker without a round trip.
+    computed from the request fields alone, so the router agrees with
+    the worker without a round trip.
     """
     dataset = obj.get("dataset")
     path = obj.get("path")

@@ -90,8 +90,8 @@ valid v1.1 envelope is also a valid v1 envelope minus the tag, and
 ``python -m repro.obs.validate --result`` accepts both versions.  The
 router additionally serves ``GET /v1/topology``: a v1.1 envelope whose
 ``topology`` payload (``repro/topology-v1``) carries the ring epoch,
-the worker table and the warm-replica map, so clients can route
-directly to owners.
+the worker table and the warm-replica map, for inspection: clients
+send every request through the router.
 """
 
 from __future__ import annotations

@@ -36,8 +36,11 @@ On top of plain placement the router adds:
 * a **versioned topology surface** — ``GET /v1/topology`` returns the
   ring epoch, worker table and replica map (``repro/topology-v1``);
   every response that crosses the router is stamped ``ring_epoch`` (and
-  therefore tagged ``repro/service-v1.1``), which is how
-  topology-aware clients notice membership changes.
+  therefore tagged ``repro/service-v1.1``), the placement generation
+  it was served under.
+
+Clients send every request through the router: it is the one read path,
+and the one place that converges an owner before it serves.
 
 The router holds no graph data and builds no indices — it is a thin
 placement layer, so cold builds of distinct keys run in parallel on
@@ -56,15 +59,14 @@ import threading
 import time
 import urllib.error
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import Empty, Queue
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import InvalidParameterError
 from ..obs import MetricsRecorder, render_exposition
 from ..resilience.overload import CircuitBreaker, HotKeyTracker
 from .hashring import (
-    DEFAULT_VNODES,
     HashRing,
     graph_string,
     key_string,
@@ -111,6 +113,25 @@ _MAX_REPLICATED_KEYS = 8
 # exit: a killed process drops its connections before it can be reaped
 _EXIT_GRACE_S = 1.0
 
+# warm replicas built for each hot key
+_REPLICA_COUNT = 1
+
+# seconds one forward to a worker may take
+_REQUEST_TIMEOUT_S = 60.0
+
+# seconds between two polls of the workers' key_hits
+_POLL_INTERVAL_S = 2.0
+
+# a key is hot at this many hits in one poll window, and a hot key turns
+# cold after this many windows in a row with no hit
+_HOT_KEY_THRESHOLD = 8
+_HOT_KEY_COLD_WINDOWS = 3
+
+# a worker's breaker opens after this many consecutive failures and
+# half-opens after this many seconds
+_BREAKER_THRESHOLD = 3
+_BREAKER_COOLDOWN_S = 5.0
+
 
 class _Unconverged(Exception):
     """A worker lacks committed update batches that the capped log no
@@ -133,18 +154,10 @@ class _Unconverged(Exception):
 
 @dataclass
 class RouterConfig:
-    """Tunables for one :class:`RouterService`."""
+    """Where :func:`make_router` binds the router's HTTP front."""
 
     host: str = "127.0.0.1"
     port: int = 8642
-    vnodes: int = DEFAULT_VNODES
-    replica_count: int = 1
-    request_timeout_s: float = 60.0
-    poll_interval_s: float = 2.0
-    hot_key_threshold: int = 8
-    hot_key_cold_windows: int = 3
-    breaker_threshold: int = 3
-    breaker_cooldown_s: float = 5.0
 
 
 @dataclass
@@ -153,9 +166,7 @@ class _Worker:
 
     worker_id: str
     url: str
-    breaker: CircuitBreaker = field(
-        default_factory=lambda: CircuitBreaker(threshold=3, cooldown_s=5.0)
-    )
+    breaker: CircuitBreaker
 
 
 class FleetManager:
@@ -187,6 +198,9 @@ class FleetManager:
         self.startup_timeout_s = startup_timeout_s
         self.python = python
         self._procs: Dict[str, subprocess.Popen] = {}
+        # workers signalled to exit, read first by alive(): Popen.poll()
+        # reads None while another thread reaps in Popen.wait()
+        self._dead: Set[str] = set()
         self._lock = threading.Lock()
 
     def _spawn_env(self) -> Dict[str, str]:
@@ -271,6 +285,8 @@ class FleetManager:
 
     def alive(self, worker_id: str) -> bool:
         with self._lock:
+            if worker_id in self._dead:
+                return False
             proc = self._procs.get(worker_id)
         return proc is not None and proc.poll() is None
 
@@ -278,7 +294,10 @@ class FleetManager:
         """SIGKILL one worker (the chaos suite's weapon of choice)."""
         with self._lock:
             proc = self._procs.get(worker_id)
-        if proc is None or proc.poll() is not None:
+            if proc is None or worker_id in self._dead:
+                return False
+            self._dead.add(worker_id)
+        if proc.poll() is not None:
             return False
         proc.kill()
         proc.wait()
@@ -288,6 +307,7 @@ class FleetManager:
         """SIGTERM every live worker and wait for the drain."""
         with self._lock:
             procs = list(self._procs.values())
+            self._dead.update(self._procs)
         for proc in procs:
             if proc.poll() is None:
                 proc.terminate()
@@ -316,26 +336,24 @@ class RouterService:
 
     def __init__(
         self,
-        config: RouterConfig,
         workers: Dict[str, str],
         manager: Optional[FleetManager] = None,
     ):
         if not workers:
             raise InvalidParameterError("a fleet needs at least one worker")
-        self.config = config
         self.manager = manager
         self._lock = threading.RLock()
         self._workers: Dict[str, _Worker] = {
             worker_id: _Worker(
                 worker_id, url.rstrip("/"),
                 CircuitBreaker(
-                    threshold=config.breaker_threshold,
-                    cooldown_s=config.breaker_cooldown_s,
+                    threshold=_BREAKER_THRESHOLD,
+                    cooldown_s=_BREAKER_COOLDOWN_S,
                 ),
             )
             for worker_id, url in workers.items()
         }
-        self.ring = HashRing(sorted(workers), vnodes=config.vnodes)
+        self.ring = HashRing(sorted(workers))
         # canonical key -> ordered replica worker ids (owner excluded)
         self._replicas: Dict[str, List[str]] = {}
         self._rr: Dict[str, int] = {}
@@ -348,8 +366,8 @@ class RouterService:
         self._converged: Dict[Tuple[str, str], int] = {}
         self._graph_locks: Dict[str, threading.Lock] = {}
         self._tracker = HotKeyTracker(
-            threshold=config.hot_key_threshold,
-            cold_windows=config.hot_key_cold_windows,
+            threshold=_HOT_KEY_THRESHOLD,
+            cold_windows=_HOT_KEY_COLD_WINDOWS,
         )
         self._recorder = MetricsRecorder()
         self._rec_lock = threading.Lock()
@@ -431,7 +449,7 @@ class RouterService:
         )
         try:
             status, _, payload = exchange(
-                worker.url + path, body, self.config.request_timeout_s
+                worker.url + path, body, _REQUEST_TIMEOUT_S
             )
         except urllib.error.URLError as exc:
             reason = exc.reason
@@ -828,7 +846,7 @@ class RouterService:
         owner dies, the ring reassigns the key to exactly that node, so
         the hottest keys fail over onto an already-warm index.
         """
-        prefs = self.ring.preference(key, 1 + self.config.replica_count)
+        prefs = self.ring.preference(key, 1 + _REPLICA_COUNT)
         targets = prefs[1:]
         if not targets:
             return False
@@ -867,7 +885,7 @@ class RouterService:
             return
 
         def _loop() -> None:
-            while not self._draining.wait(self.config.poll_interval_s):
+            while not self._draining.wait(_POLL_INTERVAL_S):
                 try:
                     self.poll_once()
                 except Exception:
@@ -953,7 +971,7 @@ def make_router(
 ) -> Tuple[HTTPFront, RouterService]:
     """Bind a router for ``config`` without entering its accept loop
     (tests: bind port 0, read the real port, run in a thread)."""
-    service = RouterService(config, workers, manager=manager)
+    service = RouterService(workers, manager=manager)
     server = HTTPFront((config.host, config.port), service, "repro-router")
     return server, service
 
@@ -964,8 +982,6 @@ def serve_fleet(
     fleet: int = 2,
     index_dir: Optional[str] = None,
     worker_args: Sequence[str] = (),
-    replica_count: int = 1,
-    poll_interval_s: float = 2.0,
 ) -> int:
     """Spawn ``fleet`` workers plus the router; run until SIGTERM/SIGINT.
 
@@ -976,11 +992,7 @@ def serve_fleet(
     """
     manager = FleetManager(fleet, extra_args=worker_args, index_dir=index_dir)
     workers = manager.start()
-    config = RouterConfig(
-        host=host, port=port,
-        replica_count=replica_count,
-        poll_interval_s=poll_interval_s,
-    )
+    config = RouterConfig(host=host, port=port)
     try:
         server, service = make_router(config, workers, manager=manager)
         service.start_polling()

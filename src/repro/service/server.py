@@ -547,18 +547,28 @@ class ReproService:
 
         The next hit rebuilds instead of re-erroring, and the bad bytes
         stay on disk for a post-mortem.  A file that cannot be moved is
-        left in place (the load path already tolerates it).
+        left in place (the load path already tolerates it).  A moved file
+        is reported as an ``index_quarantined`` event (recorder and one
+        stderr JSON line) naming the file and the load error.
         """
         qdir = os.path.join(self.config.index_dir, "quarantine")
+        moved_to = os.path.join(qdir, os.path.basename(disk_path))
         try:
             os.makedirs(qdir, exist_ok=True)
-            os.replace(
-                disk_path, os.path.join(qdir, os.path.basename(disk_path))
-            )
+            os.replace(disk_path, moved_to)
         except OSError:
             self._count("service/index_cache/quarantine_error")
             return
         self._count("service/index_cache/quarantined")
+        event = {"file": disk_path, "moved_to": moved_to, "error": repr(exc)}
+        if self.config.worker_id:
+            event["worker_id"] = self.config.worker_id
+        print(
+            json.dumps({"event": "index_quarantined", **event}, sort_keys=True),
+            file=sys.stderr, flush=True,
+        )
+        with self._rec_lock:
+            self._recorder.event("index_quarantined", **event)
 
     def _get_index(
         self, index_key, graph, recorder: MetricsRecorder, budget

@@ -17,7 +17,6 @@ EXPECTED_ALL = sorted([
     "Hypergraph",
     "SCTIndex",
     "SCTPath",
-    "SCTPathView",
     "DenseSubgraphResult",
     "RESULT_SCHEMA",
     "densest_subgraph",
@@ -164,9 +163,23 @@ def test_parallel_config_fields():
         f.name for f in repro.ParallelConfig.__dataclass_fields__.values()
     )
     assert actual == (
-        "workers", "chunks_per_worker", "max_tasks_per_child", "start_method",
-        "max_crash_retries",
+        "workers", "chunks_per_worker", "start_method", "max_crash_retries",
     )
+
+
+def test_router_config_fields():
+    # deployment settings only: the router's tuning values are constants
+    from repro.service import RouterConfig
+
+    actual = tuple(f.name for f in RouterConfig.__dataclass_fields__.values())
+    assert actual == ("host", "port")
+
+
+def test_serve_fleet_signature():
+    from repro.service import serve_fleet
+
+    actual = tuple(inspect.signature(serve_fleet).parameters)
+    assert actual == ("host", "port", "fleet", "index_dir", "worker_args")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +187,11 @@ def test_parallel_config_fields():
 # contract too — the CLI, the smoke scripts and the chaos suite all
 # consume them.
 # ---------------------------------------------------------------------------
+
+EXPECTED_CLIENT_INIT = (
+    "self", "endpoint", "timeout_s", "max_retries", "backoff_base_s",
+    "backoff_max_s", "jitter", "sleep", "rng",
+)
 
 EXPECTED_CLIENT_OPS = {
     "rpc": ("self", "op", "obj", "retry_connection_errors"),
@@ -195,6 +213,13 @@ EXPECTED_OUTCOME_PROPERTIES = {
         "applied", "update", "invalidated_results", "retained_results",
     },
 }
+
+
+def test_service_client_init_signature():
+    from repro.service import ServiceClient
+
+    actual = tuple(inspect.signature(ServiceClient.__init__).parameters)
+    assert actual == EXPECTED_CLIENT_INIT
 
 
 def test_service_client_op_surface():

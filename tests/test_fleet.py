@@ -78,6 +78,34 @@ class TestFleetManager:
         finally:
             manager.terminate()
 
+    def test_alive_reads_false_while_another_thread_reaps(self):
+        manager = FleetManager(1)
+        try:
+            (worker_id,) = manager.start()
+            proc = manager._procs[worker_id]
+            killed = []
+            killer = threading.Thread(
+                target=lambda: killed.append(manager.kill(worker_id))
+            )
+            # hold the reap as Popen.wait() does: Popen.poll() cannot
+            # take the waitpid lock meanwhile, and reads None
+            with proc._waitpid_lock:
+                killer.start()
+                deadline = time.monotonic() + 30
+                # wait for the exit without reaping it
+                while os.waitid(
+                    os.P_PID, proc.pid,
+                    os.WEXITED | os.WNOHANG | os.WNOWAIT,
+                ) is None:
+                    assert time.monotonic() < deadline, "worker never died"
+                    time.sleep(0.01)
+                assert manager.alive(worker_id) is False
+            killer.join(timeout=30)
+            assert killed == [True]
+            assert manager.alive(worker_id) is False
+        finally:
+            manager.terminate()
+
     def test_terminate_reaps_every_worker(self):
         manager = FleetManager(2)
         workers = manager.start()

@@ -1,9 +1,9 @@
 """Consistent-hash ring: placement determinism, movement bounds, keys.
 
-The ring is the fleet's single source of placement truth — router,
-workers and topology-aware clients all derive the owner independently —
-so these tests pin (a) exact deterministic placements (a snapshot that
-must never drift across Python versions or refactors), (b) the
+The ring is the fleet's single source of placement truth — the same
+membership gives the same owner in any process — so these tests pin
+(a) exact deterministic placements (a snapshot that must never drift
+across Python versions or refactors), (b) the
 consistent-hashing contract that a membership change moves at most
 ~1/N of the keyspace, and (c) the replica/failover geometry that warm
 replicas rely on.

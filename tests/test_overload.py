@@ -325,7 +325,9 @@ class TestServiceBreaker:
 
 
 class TestQuarantine:
-    def test_corrupt_disk_index_is_quarantined_and_rebuilt(self, tmp_path):
+    def test_corrupt_disk_index_is_quarantined_and_rebuilt(
+        self, tmp_path, capsys
+    ):
         index_dir = str(tmp_path / "indices")
         warm = make_service(index_dir=index_dir)
         assert warm.handle_request(
@@ -341,13 +343,22 @@ class TestQuarantine:
         # a fresh process (new service, same index_dir) hits the corrupt
         # file, quarantines it, and rebuilds
         cold = make_service(index_dir=index_dir)
+        capsys.readouterr()
         response = query(cold)
         assert response["code"] == 0
         quarantined = os.listdir(os.path.join(index_dir, "quarantine"))
         assert quarantined == [disk_file]
+        event = json.loads(capsys.readouterr().err.strip())
+        assert event["event"] == "index_quarantined"
+        assert event["file"] == path
+        assert event["moved_to"] == os.path.join(
+            index_dir, "quarantine", disk_file
+        )
+        assert event["error"]
         counters = cold.stats_snapshot()["counters"]
         assert counters["service/index_cache/quarantined"] == 1
         assert counters["service/index_cache/disk_error"] == 1
+        assert counters["events/index_quarantined"] == 1
         # the rebuild re-persisted a good file under the same name
         assert os.path.exists(path)
 

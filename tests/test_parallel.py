@@ -93,8 +93,7 @@ class TestParallelBuild:
         assert v2_bytes(sharded) == v2_bytes(SCTIndex.build(graph))
 
     def test_build_accepts_config(self, graphs):
-        cfg = ParallelConfig(workers=2, chunks_per_worker=2,
-                             max_tasks_per_child=4)
+        cfg = ParallelConfig(workers=2, chunks_per_worker=2)
         graph = graphs["gnp"]
         sharded = SCTIndex.build(graph, options=RunOptions(parallel=cfg))
         assert v2_bytes(sharded) == v2_bytes(SCTIndex.build(graph))
@@ -427,5 +426,6 @@ class TestRootChunking:
         recorder = MetricsRecorder()
         chunks = _root_chunks(index, 2, recorder)
         assert recorder.counters["parallel/chunking-fallback"] == 1
+        assert recorder.counters["events/chunking_fallback"] == 1
         assert chunks[0][0] == 0
         assert chunks[-1][1] == len(index._root_ids())

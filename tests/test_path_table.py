@@ -28,7 +28,13 @@ from repro.core import (
     sctl_star_sample,
 )
 from repro.core.batch import _distribute
-from repro.core.sct import SCTPathTable, count_in_subset, query_paths, table_cap
+from repro.core.sct import (
+    SCTPathTable,
+    query_paths,
+    scope_flags,
+    scope_rows,
+    table_cap,
+)
 from repro.graph import Graph, gnm_graph
 from repro.graph.generators import overlapping_community_graph
 from repro.parallel import ParallelConfig
@@ -113,10 +119,22 @@ class TestTable:
 
     def test_count_in_subset_reads_the_table(self, community_index):
         scope = list(range(0, 600, 2))
+        inside = set(scope)
+        listed = sum(
+            all(v in inside for v in clique)
+            for path in community_index.iter_paths(4)
+            for clique in path.iter_cliques(4)
+        )
+        # the method's tally over the tree walk, and the same scope_rows
+        # tally over the query's table
+        tallies = [0] * 5
+        flags = scope_flags(community_index.n_vertices, scope)
         with query_paths(community_index, 4) as source:
-            assert count_in_subset(source, 4, scope) == (
-                community_index.count_in_subset(4, scope)
-            )
+            assert source.table is not None
+            for _ in scope_rows(source, 4, tallies, flags):
+                pass
+        assert tallies[4] == community_index.count_in_subset(4, scope)
+        assert tallies[4] == listed
 
     def test_memory_per_path_vertex(self, community_index):
         # a list of SCTPath takes about 42 B per path vertex here

@@ -8,11 +8,15 @@ with no subprocess machinery (that end of the story lives in
 ``tests/test_fleet.py``).
 """
 
+import itertools
 import json
 import threading
 
 import pytest
 
+from repro import SCTIndex, densest_subgraph
+from repro.core import apply_edge_updates
+from repro.graph import read_edge_list
 from repro.obs.validate import validate_result
 from repro.resilience.overload import CircuitBreaker
 from repro.service import router as router_mod
@@ -223,7 +227,7 @@ class TestFleetUpdates:
         assert client.update(deletes=[[6, 7]], path=path).applied
 
         # drive the key hot, then let the poll loop promote a replica
-        for _ in range(fleet.router.config.hot_key_threshold + 2):
+        for _ in range(router_mod._HOT_KEY_THRESHOLD + 2):
             assert client.query(**obj).ok
         fleet.router.poll_once()
 
@@ -268,7 +272,7 @@ class TestFleetUpdates:
         obj = {"path": path, "k": 5}
         assert client.query(**obj).ok
         assert client.update(deletes=[[6, 7]], path=path).applied
-        for _ in range(fleet.router.config.hot_key_threshold + 2):
+        for _ in range(router_mod._HOT_KEY_THRESHOLD + 2):
             client.query(**obj)
         fleet.router.poll_once()
 
@@ -284,6 +288,42 @@ class TestFleetUpdates:
         assert out.ok
         assert out.served_by == replicas[0]
         assert out.graph_version == 1  # replayed history survived
+
+
+class TestCrossKeyConvergence:
+    def test_other_key_of_an_updated_graph_reads_the_committed_version(
+        self, fleet, tmp_path
+    ):
+        # a graph file whose threshold-1 key has another owner than its
+        # default key, so that owner never sees the update's forward
+        for i in itertools.count():
+            path = two_clique_graph_file(tmp_path, name=f"two_clique{i}.txt")
+            updater = owner_of(fleet, {"path": path})
+            reader = owner_of(fleet, {"path": path, "threshold": 1})
+            if reader != updater:
+                break
+        client = ServiceClient(fleet.endpoint, max_retries=2)
+        before = client.query(path=path, k=3)
+        assert before.ok and before.graph_version == 0
+        up = client.update(path=path, deletes=[[0, 1], [6, 7]])
+        assert up.applied and up.graph_version == 1
+        assert up.served_by == updater
+
+        out = client.query(path=path, k=3, threshold=1)
+        assert out.ok, out.error
+        assert out.served_by == reader
+        assert out.graph_version == 1
+        # the answer is the one an offline run gives on the updated graph
+        graph, _, _ = apply_edge_updates(
+            read_edge_list(path), deletes=[(0, 1), (6, 7)]
+        )
+        offline = densest_subgraph(
+            graph, 3, method="sctl*", iterations=10,
+            index=SCTIndex.build(graph, threshold=1),
+        )
+        assert out.result.vertices == offline.vertices
+        assert out.result.clique_count == offline.clique_count == 14
+        assert validate_result(out) == []
 
 
 class TestUpdateLogCap:
@@ -331,14 +371,14 @@ class TestHotKeyDemotion:
     def test_cold_key_loses_its_replica(self, fleet):
         client = ServiceClient(fleet.endpoint, max_retries=2)
         obj = {"dataset": "email", "k": 3}
-        for _ in range(fleet.router.config.hot_key_threshold + 2):
+        for _ in range(router_mod._HOT_KEY_THRESHOLD + 2):
             client.query(**obj)
         fleet.router.poll_once()
         key = key_string(request_key(obj))
         assert fleet.router._replicas.get(key)
         # quiet for cold_windows polls -> demoted (the promotion's own
         # build request counts as one last hit, hence the extra poll)
-        for _ in range(fleet.router.config.hot_key_cold_windows + 1):
+        for _ in range(router_mod._HOT_KEY_COLD_WINDOWS + 1):
             fleet.router.poll_once()
         assert key not in fleet.router._replicas
 

@@ -85,14 +85,12 @@ class TestSctlFamilyParity:
         _assert_identical(streamed, collected)
 
 
-class TestPathViewReiteration:
-    def test_view_replays_identically(self, small_random):
+class TestPathReiteration:
+    def test_walks_replay_identically(self, small_random):
         index = SCTIndex.build(small_random)
-        view = index.path_view(4)
-        first = [(p.holds, p.pivots) for p in view]
-        second = [(p.holds, p.pivots) for p in view]
+        first = [(p.holds, p.pivots) for p in index.iter_paths(4)]
+        second = [(p.holds, p.pivots) for p in index.iter_paths(4)]
         assert first == second
-        assert first == [(p.holds, p.pivots) for p in index.iter_paths(4)]
         assert first == [
             (p.holds, p.pivots) for p in index.collect_paths(4)
         ]

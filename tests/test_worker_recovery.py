@@ -69,6 +69,10 @@ class TestCrashRecovery:
         assert counters.get("parallel/worker_crashes", 0) >= 1
         assert counters.get("parallel/pool_rebuilds", 0) >= 1
         assert "parallel/serial_fallback" not in counters
+        # one pool_rebuilt event per rebuild
+        assert counters["events/pool_rebuilt"] == (
+            counters["parallel/pool_rebuilds"]
+        )
 
     def test_zero_retries_degrades_to_serial_fallback(
         self, index, crash_marker
@@ -82,6 +86,7 @@ class TestCrashRecovery:
         assert counters.get("parallel/worker_crashes", 0) >= 1
         assert counters.get("parallel/serial_fallback", 0) == 1
         assert "parallel/pool_rebuilds" not in counters
+        assert counters["events/serial_fallback"] == 1
 
     def test_repeated_crashes_keep_the_bookkeeping_consistent(
         self, index, crash_marker
@@ -168,6 +173,36 @@ class TestShmHygiene:
         counters = recorder.snapshot()["counters"]
         assert counters.get("parallel/worker_crashes", 0) >= 1
         assert counters.get("parallel/pool_rebuilds", 0) >= 1
+        assert counters["events/pool_rebuilt"] == (
+            counters["parallel/pool_rebuilds"]
+        )
+
+    def test_close_stops_the_pool_when_terminate_raises(
+        self, index, monkeypatch
+    ):
+        """A worker killed mid-``recv`` can leave a torn task in the task
+        pipe, and ``Pool.terminate()`` raises unpickling it (EOFError)
+        before it stops the result thread and the respawned workers;
+        ``close()`` must stop them anyway."""
+        import multiprocessing.pool as mp_pool
+
+        def torn_task(*_):
+            raise EOFError("Ran out of input")
+
+        monkeypatch.setattr(
+            mp_pool.Pool, "_help_stuff_finish", staticmethod(torn_task)
+        )
+        engine = PathShardEngine(index, ParallelConfig(workers=2))
+        pool = engine._ensure_pool()
+        # a pending job keeps the result thread waiting, as a crashed
+        # sweep's lost chunk does
+        pool.apply_async(time.sleep, (60,))
+        engine.close()
+        handlers = (
+            pool._worker_handler, pool._task_handler, pool._result_handler,
+        )
+        assert not any(thread.is_alive() for thread in handlers)
+        assert not any(proc.is_alive() for proc in pool._pool)
 
     def test_close_unregisters_the_atexit_tracking(self, index):
         engine = PathShardEngine(index, ParallelConfig(workers=2))
